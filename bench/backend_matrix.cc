@@ -7,7 +7,7 @@
 //
 // Workloads: the framework problems MIS, greedy coloring, and maximal
 // matching run through the engine on every backend. SSSP is outside the
-// deterministic framework class (§2.2) and its label-correcting executor
+// deterministic framework class (§2.2) and its label-correcting engine job
 // is keyed by 64-bit (distance, vertex) pairs over its own
 // BasicConcurrentMultiQueue — it is swept per (thread count, pop-batch)
 // against the multiqueue-c2 row only and marked "-" elsewhere.
@@ -17,8 +17,8 @@
 // batched insert run): batch k>1 pays one sample/lock round trip per k
 // scheduler touches on backends with native batch ops, at an O(k*q)
 // rank-error cost the quality columns make visible next to the throughput
-// gain. SSSP's executor batches the same way (pop_batch keys per claim,
-// relaxations re-inserted via one bulk_insert). The axis accepts the same
+// gain. SSSP's job batches the same way (pop_batch keys per claim,
+// relaxations re-inserted as one batched insert). The axis accepts the same
 // vocabulary as the CLIs — fixed sizes, `auto`, and `auto:<max>` — so the
 // occupancy-aware adaptive controller gets its own rows next to the fixed
 // caps it is supposed to track (printed as a<max> in the batch column).
@@ -74,7 +74,7 @@ struct Row {
   double tasks_per_s;
   double iters_per_task;
   double wasted_frac;
-  double slice_p99_us;  // < 0: not measured (sssp rows — no engine slices)
+  double slice_p99_us;  // < 0: not measured (sssp rows — SsspStats has none)
   double mean_rank;     // < 0: not measured
   std::uint64_t max_rank;
 };
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
             quality, repeat, seed));
         // SSSP rides its own 64-bit-key MultiQueue (see header note): one
         // row per (thread count, pop-batch), attached to multiqueue-c2 —
-        // its label-correcting executor batches both scheduler sides with
+        // its label-correcting engine job batches both scheduler sides with
         // the same pop_batch (and the same adaptive controller) the
         // framework rows sweep.
         if (backend->name == "multiqueue-c2") {
@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
               sstats.pops > 0
                   ? static_cast<double>(sstats.stale_pops) / sstats.pops
                   : 0.0;
-          row.slice_p99_us = -1.0;  // standalone executor: no engine slices
+          row.slice_p99_us = -1.0;  // SsspStats carries no slice latency
           row.mean_rank = -1.0;
           row.max_rank = 0;
           emit(row);

@@ -4,7 +4,7 @@
 // library, sequential and concurrent, to quantify the operation-level
 // speedup relaxation buys ("operation-level speedups provided by
 // relaxation", §1). The concurrent MultiQueue is swept over thread counts;
-// the MPMC FIFO gives the exact-scheduler baseline cost.
+// the FAA array queue gives the exact-scheduler baseline cost.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include "sched/faa_array_queue.h"
 #include "sched/kbounded.h"
 #include "sched/lockfree_multiqueue.h"
-#include "sched/mpmc_queue.h"
 #include "sched/sim_multiqueue.h"
 #include "sched/sim_spraylist.h"
 #include "sched/topk_uniform.h"
@@ -123,7 +122,6 @@ struct SharedSetup {
 
 SharedSetup<relax::sched::ConcurrentMultiQueue> g_mq;
 SharedSetup<relax::sched::LockFreeMultiQueue> g_lfmq;
-SharedSetup<relax::sched::MpmcQueue<std::uint32_t>> g_fifo;
 SharedSetup<relax::sched::FaaArrayQueue<std::uint32_t>> g_faa;
 
 void BM_ConcurrentMultiQueue(benchmark::State& state) {
@@ -192,27 +190,6 @@ void BM_FaaArrayQueue(benchmark::State& state) {
   g_faa.release(state);
 }
 BENCHMARK(BM_FaaArrayQueue)->Threads(1)->Threads(4)->Threads(8)->Threads(16)
-    ->UseRealTime();
-
-void BM_MpmcFifo(benchmark::State& state) {
-  auto* fifo = g_fifo.acquire(state, [&] {
-    auto* q = new relax::sched::MpmcQueue<std::uint32_t>(1 << 20);
-    for (std::uint32_t p = 0; p < 1 << 16; ++p) q->try_enqueue(p);
-    return q;
-  });
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    if ((ops & 1) == 0) {
-      benchmark::DoNotOptimize(fifo->try_enqueue(7));
-    } else {
-      benchmark::DoNotOptimize(fifo->try_dequeue());
-    }
-    ++ops;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-  g_fifo.release(state);
-}
-BENCHMARK(BM_MpmcFifo)->Threads(1)->Threads(4)->Threads(8)->Threads(16)
     ->UseRealTime();
 
 }  // namespace

@@ -60,10 +60,12 @@ int main(int argc, char** argv) {
     double best = 1e300;
     relax::algorithms::SsspStats best_stats;
     for (int t = 0; t < trials; ++t) {
+      relax::algorithms::SsspOptions opts;
+      opts.num_threads = static_cast<unsigned>(tc);
+      opts.seed = seed + t;
       relax::algorithms::SsspStats stats;
       const auto dist = relax::algorithms::parallel_relaxed_sssp(
-          g, weights, kSource, static_cast<unsigned>(tc), 4, seed + t,
-          /*pop_batch=*/1, &stats);
+          g, weights, kSource, opts, &stats);
       if (dist != reference) {
         std::fprintf(stderr, "ERROR: SSSP distances mismatch!\n");
         return 1;
@@ -85,10 +87,13 @@ int main(int argc, char** argv) {
   std::printf("%8s %10s %12s %11s\n", "factor", "seconds", "stale_pops",
               "stale_frac");
   for (const unsigned factor : {1u, 2u, 4u, 8u, 16u}) {
+    relax::algorithms::SsspOptions opts;
+    opts.num_threads = static_cast<unsigned>(hw);
+    opts.queue_factor = factor;
+    opts.seed = seed;
     relax::algorithms::SsspStats stats;
     const auto dist = relax::algorithms::parallel_relaxed_sssp(
-        g, weights, kSource, static_cast<unsigned>(hw), factor, seed,
-        /*pop_batch=*/1, &stats);
+        g, weights, kSource, opts, &stats);
     if (dist != reference) {
       std::fprintf(stderr, "ERROR: SSSP distances mismatch!\n");
       return 1;

@@ -32,10 +32,13 @@ int main(int argc, char** argv) {
   const double seq_time = timer.seconds();
   std::printf("sequential Dijkstra:  %.3fs\n", seq_time);
 
+  relax::algorithms::SsspOptions opts;
+  opts.num_threads = threads;
+  opts.seed = 3;
+  opts.pop_batch = pop_batch;
   relax::algorithms::SsspStats stats;
   const auto dist = relax::algorithms::parallel_relaxed_sssp(
-      g, weights, depot, threads, /*queue_factor=*/4, /*seed=*/3, pop_batch,
-      &stats);
+      g, weights, depot, opts, &stats);
   std::printf("relaxed parallel SSSP: %.3fs (%.1fx)\n", stats.seconds,
               seq_time / stats.seconds);
   std::printf("  pops: %llu, stale (wasted): %llu (%.2f%%), relaxations: "

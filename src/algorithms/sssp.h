@@ -5,9 +5,11 @@
 // correctness because tentative distances converge monotonically to the
 // true distances; the price is wasted work on stale pops. SSSP is NOT in
 // the paper's deterministic framework class (the priority order must follow
-// distances, so pi cannot be a uniformly random permutation — §2.2), which
-// is why it lives here as a standalone algorithm and example rather than a
-// Problem adapter.
+// distances, so pi cannot be a uniformly random permutation — §2.2), so it
+// is not a Problem adapter: it is its own engine key policy — 64-bit
+// (distance, vertex) keys with a stale check — run by the same relaxed
+// engine job as every framework algorithm (engine/job.h), with the same
+// batching, placement, telemetry and QoS.
 //
 // Edge weights are synthesized deterministically from (edge, seed) since
 // graph::Graph is unweighted.
@@ -16,8 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/parallel_executor.h"
 #include "graph/graph.h"
-#include "util/topology.h"
 
 namespace relax::algorithms {
 
@@ -30,6 +32,7 @@ std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
                                                   std::uint32_t max_w = 100);
 
 /// Reference Dijkstra (exact binary-heap scheduler). Returns distances.
+/// Throws std::invalid_argument when `source` is not a vertex of `g`.
 std::vector<std::uint32_t> dijkstra(const graph::Graph& g,
                                     const std::vector<std::uint32_t>& weights,
                                     graph::Vertex source);
@@ -51,54 +54,30 @@ struct SsspStats {
   double seconds = 0.0;
 };
 
-/// Knobs for parallel_relaxed_sssp, mirroring the relevant slice of
-/// core::ParallelOptions (SSSP lives outside the framework's Problem layer,
-/// so it keeps its own struct instead of dragging the engine headers in).
-struct SsspOptions {
-  unsigned num_threads = 0;      // 0 = hardware concurrency
-  unsigned queue_factor = 4;     // MultiQueue sub-queues per thread
-  std::uint64_t seed = 1;        // scheduler + weight randomness
-  std::uint32_t pop_batch = 1;   // keys claimed per scheduler touch
-  /// Adaptive claim sizing: pop_batch becomes the cap and each worker's
-  /// sched::BatchController floats the claim between 1 (near drain) and
-  /// the cap (sustained load), consulting the queue's striped size()
-  /// occasionally — the same occupancy-aware controller the engine's
-  /// framework executors run (engine/job.h).
-  bool pop_batch_auto = false;
-  /// Topology placement (--numa): off = flat, auto = sysfs sockets (flat
-  /// fallback), virtual:K = synthetic domains. Threads pin in socket-fill
-  /// order and the MultiQueue is striped per domain, exactly like the
-  /// engine executors (util/topology.h, sched/stripe_map.h).
-  util::TopologySpec topology;
-};
+/// SSSP runs with the engine's one-shot options: num_threads, pin_threads,
+/// topology (--numa), queue_factor / choices / seed of its MultiQueue,
+/// pop_batch / pop_batch_auto, weight, and the metrics / trace sinks.
+/// monitor_relaxation does not apply (the audit mirrors a label universe);
+/// relaxation_k is a window-backend knob SSSP's MultiQueue does not read.
+using SsspOptions = core::ParallelOptions;
 
 /// Multi-threaded label-correcting SSSP over a relaxed concurrent
-/// MultiQueue ((distance, vertex) packed into 64-bit keys). Produces exact
-/// distances (monotone convergence); stats report the relaxation overhead.
+/// MultiQueue ((distance, vertex) packed into 64-bit keys), run as one job
+/// on a single-job engine — the shape of core::run_parallel_relaxed_on.
+/// Produces exact distances (monotone convergence); stats report the
+/// relaxation overhead. Throws std::invalid_argument when `source` is not a
+/// vertex of `g`.
 ///
 /// pop_batch > 1 batches BOTH scheduler sides, exactly like the framework
-/// executors (engine/job.h): up to pop_batch keys are claimed per
-/// approx_get_min_batch round trip, and the successful relaxations they
-/// generate are re-inserted as one bulk_insert run. Label correction is
-/// insensitive to the extra relaxation (distances converge monotonically
-/// for any pop order); the price is more stale pops, which stats make
-/// visible next to the throughput gain.
+/// jobs: up to pop_batch keys are claimed per approx_get_min_batch round
+/// trip, and the successful relaxations they generate are re-inserted as
+/// one batched insert. Label correction is insensitive to the extra
+/// relaxation (distances converge monotonically for any pop order); the
+/// price is more stale pops, which stats make visible next to the
+/// throughput gain.
 std::vector<std::uint32_t> parallel_relaxed_sssp(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights,
     graph::Vertex source, const SsspOptions& options,
     SsspStats* stats = nullptr);
-
-/// Positional-argument form (fixed batch only), kept for existing callers.
-inline std::vector<std::uint32_t> parallel_relaxed_sssp(
-    const graph::Graph& g, const std::vector<std::uint32_t>& weights,
-    graph::Vertex source, unsigned num_threads, unsigned queue_factor,
-    std::uint64_t seed, unsigned pop_batch = 1, SsspStats* stats = nullptr) {
-  SsspOptions options;
-  options.num_threads = num_threads;
-  options.queue_factor = queue_factor;
-  options.seed = seed;
-  options.pop_batch = pop_batch;
-  return parallel_relaxed_sssp(g, weights, source, options, stats);
-}
 
 }  // namespace relax::algorithms

@@ -12,6 +12,10 @@ std::string ExecutionStats::to_string() const {
   os << "iterations=" << iterations << " processed=" << processed
      << " failed_deletes=" << failed_deletes << " dead_skips=" << dead_skips
      << " empty_polls=" << empty_polls << " seconds=" << seconds;
+  if (claims > 0) {
+    os << " claims=" << claims << " min_claim=" << min_claim
+       << " max_claim=" << max_claim;
+  }
   if (slices > 0) {
     os << " slices=" << slices
        << " slice_p50_us=" << slice_percentile_us(50.0)

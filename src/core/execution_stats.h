@@ -3,6 +3,7 @@
 // for Algorithm 4, pops of dead vertices. Table 1 reports failed deletes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,6 +20,15 @@ struct ExecutionStats {
   std::uint64_t dead_skips = 0;      // kRetired pops (Algorithm 4 dead hits)
   std::uint64_t empty_polls = 0;     // pops that returned nullopt (parallel)
   double seconds = 0.0;  // wall time, job admission through completion
+
+  // Claim accounting (relaxed engine jobs): scheduler claims that returned
+  // keys, and the smallest / largest claim size *requested* for them — the
+  // batch controller's choice, before the job clamps a claim to the budget
+  // left in its slice (0 = no claim made). A fixed pop_batch reports
+  // min == max == pop_batch; adaptive mode reports the range it floated.
+  std::uint64_t claims = 0;
+  std::uint64_t min_claim = 0;
+  std::uint64_t max_claim = 0;
 
   // Slice telemetry (engine jobs): every run_slice visit that got past the
   // finished() check records its wall latency here. For the merged job
@@ -66,6 +76,12 @@ struct ExecutionStats {
     dead_skips += o.dead_skips;
     empty_polls += o.empty_polls;
     seconds += o.seconds;
+    claims += o.claims;
+    if (o.min_claim != 0) {
+      min_claim =
+          min_claim == 0 ? o.min_claim : std::min(min_claim, o.min_claim);
+    }
+    max_claim = std::max(max_claim, o.max_claim);
     slices += o.slices;
     slice_latency_ns.merge(o.slice_latency_ns);
     if (!o.per_worker.empty()) {

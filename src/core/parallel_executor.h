@@ -39,43 +39,23 @@
 
 namespace relax::core {
 
-struct ParallelOptions {
+/// Options of a one-shot run: every per-job knob of engine::JobConfig
+/// (queue_factor, choices, relaxation_k, pop_batch / pop_batch_auto, seed,
+/// weight, monitor_relaxation, telemetry sinks — see engine/job.h), plus
+/// the pool this run stands up. algorithms::SsspOptions is this struct too.
+/// `weight` only matters when a job shares an engine; these wrappers run
+/// solo (full budget), so it flows through for symmetry with the server
+/// path. `metrics` / `trace` are caller-owned and resized by the engine;
+/// they outlive the run, so snapshots and export happen after the call
+/// returns.
+struct ParallelOptions : engine::JobConfig {
   unsigned num_threads = 0;      // 0 = hardware concurrency
-  unsigned queue_factor = 4;     // MultiQueue sub-queues per thread (paper: 4)
-  unsigned choices = 2;          // sampled sub-queues per pop (ablation knob;
-                                 // run_parallel_relaxed only — backend names
-                                 // pin their own sampling width)
-  std::uint32_t relaxation_k = 0;  // k for window/sim backends (0 = derive)
-  std::uint32_t pop_batch = 1;   // labels claimed per scheduler touch
-                                 // (batched acquisition; rank cost scales
-                                 // to O(pop_batch * q), see
-                                 // sched::batched_rank_bound)
-  bool pop_batch_auto = false;   // adaptive claim size: pop_batch becomes
-                                 // the cap, each worker's
-                                 // sched::BatchController scales between 1
-                                 // (near drain) and the cap (under load)
-                                 // from claim feedback + the backend's
-                                 // striped size(); honored by the engine
-                                 // jobs AND by SSSP's standalone executor
-                                 // (algorithms::SsspOptions mirrors it)
-  std::uint64_t seed = 1;        // scheduler randomness
-  std::uint32_t weight = 1;      // QoS tenant weight (engine/qos.h);
-                                 // meaningful when the job shares an
-                                 // engine with others — these one-shot
-                                 // wrappers run solo (full budget), so it
-                                 // mostly flows through for API symmetry
-                                 // with the server path
   bool pin_threads = true;
   util::TopologySpec topology;   // --numa: off (flat, default), auto
                                  // (sysfs sockets, flat fallback), or
                                  // virtual:K (synthetic domains). Flows
                                  // into EngineOptions::topology; see
                                  // util/topology.h
-  obs::MetricsRegistry* metrics = nullptr;  // optional caller-owned telemetry
-  obs::TraceRing* trace = nullptr;          // sinks, resized by the engine;
-                                            // they outlive the one-shot run,
-                                            // so snapshots/export happen
-                                            // after the call returns
 
   [[nodiscard]] unsigned threads() const {
     return num_threads == 0 ? util::hardware_threads() : num_threads;
@@ -97,18 +77,6 @@ inline engine::EngineOptions single_job_engine(const ParallelOptions& opts) {
   return eo;
 }
 
-inline engine::JobConfig job_config(const ParallelOptions& opts) {
-  engine::JobConfig cfg;
-  cfg.queue_factor = opts.queue_factor;
-  cfg.choices = opts.choices;
-  cfg.relaxation_k = opts.relaxation_k;
-  cfg.pop_batch = opts.pop_batch;
-  cfg.pop_batch_auto = opts.pop_batch_auto;
-  cfg.seed = opts.seed;
-  cfg.weight = opts.weight;
-  return cfg;
-}
-
 }  // namespace detail
 
 /// Relaxed concurrent execution over a caller-supplied scheduler: anything
@@ -122,8 +90,7 @@ ExecutionStats run_parallel_relaxed_on(P& problem,
                                        Queue& queue,
                                        const ParallelOptions& opts = {}) {
   engine::SchedulingEngine eng(detail::single_job_engine(opts));
-  return eng.submit_relaxed_on(problem, pri, queue, detail::job_config(opts))
-      .wait();
+  return eng.submit_relaxed_on(problem, pri, queue, opts).wait();
 }
 
 /// Relaxed concurrent execution over a named backend from the registry
@@ -136,9 +103,7 @@ ExecutionStats run_parallel_relaxed_backend(P& problem,
                                             std::string_view backend,
                                             const ParallelOptions& opts = {}) {
   engine::SchedulingEngine eng(detail::single_job_engine(opts));
-  return eng
-      .submit_relaxed_backend(problem, pri, backend, detail::job_config(opts))
-      .wait();
+  return eng.submit_relaxed_backend(problem, pri, backend, opts).wait();
 }
 
 /// Relaxed concurrent execution over a freshly built ConcurrentMultiQueue
@@ -158,7 +123,7 @@ template <typename P>
 ExecutionStats run_parallel_exact(P& problem, const graph::Priorities& pri,
                                   const ParallelOptions& opts = {}) {
   engine::SchedulingEngine eng(detail::single_job_engine(opts));
-  return eng.submit_exact(problem, pri, detail::job_config(opts)).wait();
+  return eng.submit_exact(problem, pri, opts).wait();
 }
 
 }  // namespace relax::core

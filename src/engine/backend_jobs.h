@@ -4,8 +4,8 @@
 //
 // make_backend_job resolves a BackendInfo into a concrete scheduler type
 // via dispatch_backend, stands the scheduler up *inside* an
-// OwningRelaxedJob (or a MonitoredRelaxedJob when the config opts into the
-// Definition 1 audit), and returns the type-erased handle the engine
+// OwningRelaxedJob (wrapped in sched::AuditedScheduler when the config opts
+// into the Definition 1 audit), and returns the type-erased handle the engine
 // multiplexes. This is the "factory closure" per backend name: everything
 // past this point — admission batching, slice execution, retirement
 // counting — is backend-agnostic.
@@ -56,13 +56,8 @@ std::shared_ptr<Job> make_backend_job(const sched::BackendInfo& info,
       info, params,
       [&](auto tag, auto&&... queue_args) -> std::shared_ptr<Job> {
         using Queue = typename decltype(tag)::type;
-        if (cfg.monitor_relaxation) {
-          return std::make_shared<MonitoredRelaxedJob<P, Queue>>(
-              problem, pri, cfg,
-              std::forward<decltype(queue_args)>(queue_args)...);
-        }
-        return std::make_shared<OwningRelaxedJob<P, Queue>>(
-            problem, pri, cfg,
+        return make_owning_job<Queue>(
+            TaskKeys<P>(problem, pri), cfg,
             std::forward<decltype(queue_args)>(queue_args)...);
       });
 }

@@ -178,16 +178,18 @@ class SchedulingEngine {
   template <core::Problem P>
   JobTicket submit_relaxed(P& problem, const graph::Priorities& pri,
                            const JobConfig& cfg = {}) {
+    return submit_keys(TaskKeys<P>(problem, pri), cfg);
+  }
+
+  /// The same over any key policy (engine/job.h): the job owns a
+  /// BasicConcurrentMultiQueue of the policy's key type — how
+  /// algorithms::parallel_relaxed_sssp runs its (distance, vertex) keys.
+  template <KeyPolicy Keys>
+  JobTicket submit_keys(const Keys& keys, const JobConfig& cfg = {}) {
     const JobConfig jc = with_observability(cfg);
-    const std::uint32_t queues = jc.queue_factor * width();
-    if (jc.monitor_relaxation) {
-      return submit(
-          std::make_shared<MonitoredRelaxedJob<P, sched::ConcurrentMultiQueue>>(
-              problem, pri, jc, queues, jc.seed, jc.choices));
-    }
     return submit(
-        std::make_shared<OwningRelaxedJob<P, sched::ConcurrentMultiQueue>>(
-            problem, pri, jc, queues, jc.seed, jc.choices));
+        make_owning_job<sched::BasicConcurrentMultiQueue<typename Keys::Key>>(
+            keys, jc, jc.queue_factor * width(), jc.seed, jc.choices));
   }
 
   /// Relaxed execution over any backend in the registry
@@ -219,8 +221,8 @@ class SchedulingEngine {
   template <core::Problem P, typename Queue>
   JobTicket submit_relaxed_on(P& problem, const graph::Priorities& pri,
                               Queue& queue, const JobConfig& cfg = {}) {
-    return submit(std::make_shared<RelaxedJob<P, Queue>>(
-        problem, pri, queue, with_observability(cfg)));
+    return submit(std::make_shared<RelaxedJob<TaskKeys<P>, Queue>>(
+        TaskKeys<P>(problem, pri), queue, with_observability(cfg)));
   }
 
   /// Exact-baseline execution (FAA ticket dispenser + bounded backoff-wait).

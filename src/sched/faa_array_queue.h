@@ -6,10 +6,10 @@
 // backoff-wait rather than re-insert), so the queue degenerates to a
 // ticket dispenser over the priority-sorted task array: one wait-free
 // fetch_add per dequeue, which is precisely the fast path of [27] and its
-// contention profile. (The general-purpose Vyukov MPMC ring in
-// sched/mpmc_queue.h also works here, but its CAS retry loop storms under
-// a 24-thread dequeue-only load, which distorts the exact-scheduler series
-// of Figure 2; the dispenser is the honest baseline.)
+// contention profile. (A general-purpose MPMC ring such as Vyukov's also
+// works here, but its CAS retry loop storms under a 24-thread dequeue-only
+// load, which distorts the exact-scheduler series of Figure 2; the
+// dispenser is the honest baseline.)
 #pragma once
 
 #include <atomic>

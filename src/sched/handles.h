@@ -16,7 +16,7 @@
 // narrows a concurrent backend's single-threaded convenience API down to
 // the SequentialScheduler concept, which is what RelaxationMonitor needs to
 // keep its exact order-statistics mirror in lock-step with the scheduler
-// (the monitored engine jobs serialize it under one LockedScheduler lock).
+// (sched::AuditedScheduler serializes it under one LockedScheduler lock).
 #pragma once
 
 #include <cstddef>
@@ -37,15 +37,14 @@ namespace relax::sched {
 /// unchanged semantics.
 template <typename Queue>
 struct DirectHandle {
+  using Key = key_type<Queue>;
   Queue* queue;
-  void insert(Priority p) { queue->insert(p); }
-  void insert_batch(std::span<const Priority> keys) {
+  void insert(Key key) { queue->insert(key); }
+  void insert_batch(std::span<const Key> keys) {
     sched::insert_batch(*queue, keys);
   }
-  std::optional<Priority> approx_get_min() {
-    return queue->approx_get_min();
-  }
-  std::size_t approx_get_min_batch(std::size_t k, std::vector<Priority>& out) {
+  std::optional<Key> approx_get_min() { return queue->approx_get_min(); }
+  std::size_t approx_get_min_batch(std::size_t k, std::vector<Key>& out) {
     return pop_batch(*queue, k, out);
   }
 };
@@ -62,7 +61,7 @@ auto make_handle(Queue& queue) {
 
 /// SequentialScheduler view over a concurrent backend's single-threaded
 /// convenience API; only valid while no concurrent operations are in
-/// flight (or under an external lock — see engine::MonitoredRelaxedJob).
+/// flight (or under an external lock — see sched::AuditedScheduler).
 template <typename Queue>
 class SequentialView {
  public:

@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sched/handles.h"
 #include "sched/order_stat_set.h"
 #include "sched/scheduler.h"
 #include "util/stats.h"
@@ -111,6 +112,30 @@ class RelaxationMonitor {
   std::unordered_map<Priority, std::uint64_t> tracked_;
   util::ExponentialHistogram rank_hist_;
   util::ExponentialHistogram inversion_hist_;
+};
+
+/// Audit mode as a scheduler (engine::JobConfig::monitor_relaxation): owns
+/// a concurrent backend and serves every operation through a
+/// RelaxationMonitor over its SequentialView, serialized by one
+/// LockedScheduler lock, so each pop's rank error and the sampled
+/// inversion counts (Definition 1) are measured in situ. The monitor's
+/// exact mirror needs that serialization, so this trades scalability for
+/// observability — meant for a sampled subset of production jobs. inner()
+/// is the monitor; the engine's relaxed job copies its histograms into
+/// ExecutionStats at collect().
+template <typename Queue>
+class AuditedScheduler
+    : private Owned<Queue>,
+      public LockedScheduler<RelaxationMonitor<SequentialView<Queue>>> {
+ public:
+  /// capacity / sample_stride as for RelaxationMonitor; backend_args
+  /// construct the owned backend.
+  template <typename... BackendArgs>
+  AuditedScheduler(std::uint32_t capacity, std::uint32_t sample_stride,
+                   BackendArgs&&... backend_args)
+      : Owned<Queue>(std::forward<BackendArgs>(backend_args)...),
+        LockedScheduler<RelaxationMonitor<SequentialView<Queue>>>(
+            SequentialView<Queue>(this->owned), capacity, sample_stride) {}
 };
 
 }  // namespace relax::sched

@@ -6,7 +6,6 @@
 #include "sched/faa_array_queue.h"
 #include "sched/kbounded.h"
 #include "sched/lockfree_multiqueue.h"
-#include "sched/mpmc_queue.h"
 #include "sched/order_stat_set.h"
 #include "sched/relaxation_monitor.h"
 #include "sched/scheduler.h"
@@ -18,7 +17,6 @@ namespace relax::sched {
 
 // Explicit instantiations exercised by the archive.
 template class DaryHeap<Priority>;
-template class MpmcQueue<Priority>;
 template class RelaxationMonitor<ExactHeapScheduler>;
 template class RelaxationMonitor<SimMultiQueue>;
 template class RelaxationMonitor<TopKUniformScheduler>;

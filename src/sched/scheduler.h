@@ -64,8 +64,11 @@ concept ConcurrentScheduler = requires(S s, Priority p) {
 /// at rank O(k_0 + i * q)-ish — the batch-aware Definition 1 envelope is
 /// O(k * k_0), not k_0 (see backend_registry.h's batched_rank_bound and
 /// tests/sched_quality_test.cc).
-template <typename S>
-std::size_t pop_batch(S& s, std::size_t k, std::vector<Priority>& out) {
+///
+/// Generic over the key type: framework jobs move 32-bit labels, SSSP moves
+/// 64-bit (distance, vertex) keys through the same calls.
+template <typename S, typename Key>
+std::size_t pop_batch(S& s, std::size_t k, std::vector<Key>& out) {
   if constexpr (requires { s.approx_get_min_batch(k, out); }) {
     return s.approx_get_min_batch(k, out);
   } else {
@@ -94,8 +97,8 @@ std::size_t pop_batch(S& s, std::size_t k, std::vector<Priority>& out) {
 /// batch in one sub-structure, a transient skew of the same O(k) order the
 /// batched pop already charges (see batched_rank_bound and
 /// tests/sched_quality_test.cc's batched-insert leg).
-template <typename S>
-void insert_batch(S& s, std::span<const Priority> keys) {
+template <typename S, typename Key>
+void insert_batch(S& s, std::span<const Key> keys) {
   if (keys.size() == 1) {
     // Singleton runs take the plain insert path: a 1-run "batch" would pay
     // the sort/splice machinery for no amortization.
@@ -107,9 +110,26 @@ void insert_batch(S& s, std::span<const Priority> keys) {
   } else if constexpr (requires { s.bulk_insert(keys); }) {
     s.bulk_insert(keys);
   } else {
-    for (const Priority p : keys) s.insert(p);
+    for (const Key key : keys) s.insert(key);
   }
 }
+
+/// The key type a scheduler-like surface holds: what its approx_get_min()
+/// yields (sched::Priority for every label scheduler, std::uint64_t for
+/// SSSP's (distance, vertex) MultiQueue).
+template <typename S>
+using key_type =
+    typename decltype(std::declval<S&>().approx_get_min())::value_type;
+
+/// Base-from-member holder: lets a class own a scheduler that must be
+/// constructed before, and destroyed after, a base class that points into
+/// it (engine::OwningRelaxedJob, sched::AuditedScheduler).
+template <typename T>
+struct Owned {
+  template <typename... Args>
+  explicit Owned(Args&&... args) : owned(std::forward<Args>(args)...) {}
+  T owned;
+};
 
 /// Adapts any SequentialScheduler into a ConcurrentScheduler by serializing
 /// every operation through one spinlock. Deliberately unscalable — the use

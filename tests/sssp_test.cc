@@ -2,12 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/generators.h"
+#include "obs/metrics.h"
 
 namespace relax::algorithms {
 namespace {
 
 using graph::Graph;
+
+/// Fixed-batch options on the default 4 sub-queues per thread.
+SsspOptions fixed(unsigned threads, std::uint64_t seed,
+                  std::uint32_t pop_batch = 1) {
+  SsspOptions opts;
+  opts.num_threads = threads;
+  opts.seed = seed;
+  opts.pop_batch = pop_batch;
+  return opts;
+}
 
 TEST(SyntheticWeights, SymmetricAndInRange) {
   const Graph g = graph::gnm_exact(100, 400, 3);
@@ -73,7 +86,7 @@ TEST(ParallelRelaxedSssp, MatchesDijkstraOnRandomGraphs) {
     const auto expected = dijkstra(g, w, 0);
     SsspStats stats;
     const auto dist =
-        parallel_relaxed_sssp(g, w, 0, 4, 4, seed + 2, /*pop_batch=*/1,
+        parallel_relaxed_sssp(g, w, 0, fixed(4, seed + 2, /*pop_batch=*/1),
                               &stats);
     EXPECT_EQ(dist, expected) << "seed=" << seed;
     EXPECT_GE(stats.pops, stats.relaxations);
@@ -90,7 +103,7 @@ TEST(ParallelRelaxedSssp, BatchedPopsAndReinsertsStayExact) {
     const auto expected = dijkstra(g, w, 0);
     SsspStats stats;
     const auto dist =
-        parallel_relaxed_sssp(g, w, 0, 4, 4, seed + 42, /*pop_batch=*/8,
+        parallel_relaxed_sssp(g, w, 0, fixed(4, seed + 42, /*pop_batch=*/8),
                               &stats);
     EXPECT_EQ(dist, expected) << "seed=" << seed;
     EXPECT_GE(stats.pops, stats.relaxations);
@@ -141,27 +154,27 @@ TEST(ParallelRelaxedSssp, AdaptiveSingleThreadMatchesDijkstra) {
 TEST(ParallelRelaxedSssp, BatchedSingleThreadMatchesDijkstra) {
   const Graph g = graph::gnm(1500, 9000, 33);
   const auto w = synthetic_edge_weights(g, 34, 50);
-  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, 1, 4, 35, /*pop_batch=*/16),
+  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, fixed(1, 35, /*pop_batch=*/16)),
             dijkstra(g, w, 0));
 }
 
 TEST(ParallelRelaxedSssp, SingleThreadCorrect) {
   const Graph g = graph::gnm(500, 3000, 9);
   const auto w = synthetic_edge_weights(g, 11, 20);
-  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, 1, 4, 13), dijkstra(g, w, 0));
+  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, fixed(1, 13)), dijkstra(g, w, 0));
 }
 
 TEST(ParallelRelaxedSssp, ManyThreadsCorrect) {
   const Graph g = graph::gnm(3000, 30000, 15);
   const auto w = synthetic_edge_weights(g, 17, 1000);
-  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, 8, 4, 19), dijkstra(g, w, 0));
+  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, fixed(8, 19)), dijkstra(g, w, 0));
 }
 
 TEST(ParallelRelaxedSssp, DifferentSourcesAgree) {
   const Graph g = graph::gnm(1000, 8000, 21);
   const auto w = synthetic_edge_weights(g, 23, 100);
   for (const graph::Vertex src : {0u, 500u, 999u}) {
-    EXPECT_EQ(parallel_relaxed_sssp(g, w, src, 4, 4, 25),
+    EXPECT_EQ(parallel_relaxed_sssp(g, w, src, fixed(4, 25)),
               dijkstra(g, w, src));
   }
 }
@@ -171,7 +184,44 @@ TEST(ParallelRelaxedSssp, PathGraphWorstCaseForRelaxation) {
   // hold even when the relaxed queue serves vertices far out of order.
   const Graph g = graph::path(5000);
   const auto w = synthetic_edge_weights(g, 27, 10);
-  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, 8, 4, 29), dijkstra(g, w, 0));
+  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, fixed(8, 29)), dijkstra(g, w, 0));
+}
+
+TEST(SsspSource, OutOfRangeSourceThrows) {
+  // An edge list whose header reads "0 0" loads as an empty graph; both
+  // solvers must reject any source instead of writing past `dist`.
+  const Graph empty = Graph::from_edges(0, std::vector<graph::Edge>{});
+  const std::vector<std::uint32_t> no_weights;
+  EXPECT_THROW(dijkstra(empty, no_weights, 0), std::invalid_argument);
+  EXPECT_THROW(parallel_relaxed_sssp(empty, no_weights, 0, fixed(2, 1)),
+               std::invalid_argument);
+  const Graph g = graph::gnm(50, 200, 61);
+  const auto w = synthetic_edge_weights(g, 62, 10);
+  EXPECT_THROW(dijkstra(g, w, 50), std::invalid_argument);
+  EXPECT_THROW(parallel_relaxed_sssp(g, w, 50, fixed(2, 63)),
+               std::invalid_argument);
+}
+
+TEST(ParallelRelaxedSssp, ReportsEngineTelemetry) {
+  // SSSP runs as an engine job, so an attached registry sees its claims,
+  // and the registry's pops are exactly the pops SsspStats reports.
+  const Graph g = graph::gnm(3000, 15000, 71);
+  const auto w = synthetic_edge_weights(g, 72, 100);
+  obs::MetricsRegistry registry;
+  SsspOptions opts = fixed(4, 73);
+  opts.pop_batch = 16;
+  opts.pop_batch_auto = true;
+  opts.metrics = &registry;
+  SsspStats stats;
+  EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, opts, &stats), dijkstra(g, w, 0));
+  std::uint64_t pops = 0;
+  std::uint64_t claims = 0;
+  for (const auto& worker : registry.snapshot().workers) {
+    pops += worker.pops;
+    claims += worker.claims;
+  }
+  EXPECT_EQ(pops, stats.pops);
+  EXPECT_GT(claims, 0u);
 }
 
 }  // namespace

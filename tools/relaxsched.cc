@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,7 @@ using relax::graph::Graph;
                            p50/p95/p99. Prometheus text exposition, or JSON
                            when the path ends in .json; '-' writes to
                            stdout. Engine modes only (parallel / exact /
-                           shuffle / listcontract).
+                           shuffle / listcontract / sssp).
   --trace=<path>           write a Chrome trace-event JSON file (open in
                            chrome://tracing or ui.perfetto.dev): one lane
                            per worker with slice/park spans and
@@ -174,7 +175,7 @@ void init_telemetry(const relax::util::CommandLine& cli) {
   g_telemetry.trace_path = cli.get_string("trace", "");
 }
 
-/// seq / seq-relaxed / sssp bypass the engine, so the sinks stay empty.
+/// seq / seq-relaxed bypass the engine, so the sinks stay empty.
 void warn_telemetry_unsupported(const char* mode) {
   if (g_telemetry.metrics_path.empty() && g_telemetry.trace_path.empty())
     return;
@@ -436,23 +437,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_edges()));
 
   if (algo == "sssp") {
-    warn_telemetry_unsupported("sssp (standalone executor)");
     const auto weights =
         relax::algorithms::synthetic_edge_weights(g, seed + 3);
     relax::algorithms::SsspStats stats;
-    // One parsing path for --pop-batch (parallel_opts); auto is honored
-    // end to end — SSSP's standalone executor runs the same occupancy-
-    // aware BatchController as the engine jobs.
-    const relax::core::ParallelOptions popts = parallel_opts(cli);
-    relax::algorithms::SsspOptions sssp_opts;
-    sssp_opts.num_threads = popts.num_threads;
-    sssp_opts.queue_factor = popts.queue_factor;
-    sssp_opts.seed = seed;
-    sssp_opts.pop_batch = popts.pop_batch;
-    sssp_opts.pop_batch_auto = popts.pop_batch_auto;
-    sssp_opts.topology = popts.topology;
-    const auto dist = relax::algorithms::parallel_relaxed_sssp(
-        g, weights, 0, sssp_opts, &stats);
+    // One parsing path for --pop-batch, --numa and the telemetry sinks
+    // (parallel_opts): SSSP runs as an engine job like the other parallel
+    // modes.
+    const relax::algorithms::SsspOptions sssp_opts = parallel_opts(cli);
+    std::vector<std::uint32_t> dist;
+    try {
+      dist = relax::algorithms::parallel_relaxed_sssp(g, weights, 0,
+                                                      sssp_opts, &stats);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
     std::printf(
         "sssp: %.4f s | pops=%llu stale=%llu relaxations=%llu batches=%llu "
         "claims=[%llu..%llu]%s\n",
@@ -463,6 +462,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.min_claim),
         static_cast<unsigned long long>(stats.max_claim),
         sssp_opts.pop_batch_auto ? " (adaptive)" : "");
+    dump_telemetry();
     if (cli.get_bool("verify", true)) {
       if (dist != relax::algorithms::dijkstra(g, weights, 0)) {
         std::fprintf(stderr, "VERIFY FAILED vs Dijkstra\n");
