@@ -51,14 +51,15 @@
 #include "algorithms/sssp.h"
 #include "core/parallel_executor.h"
 #include "engine/engine.h"
+#include "engine/flags.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
-#include "sched/backend_registry.h"
 #include "util/cli.h"
 #include "util/topology.h"
 
 namespace {
 
+namespace flags = relax::engine::flags;
 using relax::core::ExecutionStats;
 using relax::graph::Graph;
 using relax::sched::BackendInfo;
@@ -216,22 +217,6 @@ Row run_framework(const char* workload, const BackendInfo& backend,
   return row;
 }
 
-/// Strict comma-split of an axis flag (util::split_csv, shared with
-/// bench/steady_state): empty tokens exit 2 with the flag named instead
-/// of flowing "" into a registry lookup or number parse.
-std::vector<std::string> split_axis(const char* flag,
-                                    const std::string& value) {
-  auto tokens = relax::util::split_csv(value);
-  if (!tokens) {
-    std::fprintf(stderr,
-                 "invalid --%s='%s': empty value or empty list entry "
-                 "(trailing/doubled comma?)\n",
-                 flag, value.c_str());
-    std::exit(2);
-  }
-  return *tokens;
-}
-
 }  // namespace
 
 [[noreturn]] void usage_and_exit(const char* error) {
@@ -275,55 +260,17 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(std::max<std::int64_t>(cli.get_int("repeat", 3), 1));
   const auto thread_list = cli.get_int_list("threads", {1, 4});
 
-  // The pop-batch axis speaks the CLI vocabulary (fixed | auto | auto:max)
-  // so adaptive rows sit next to the fixed caps they should track.
-  std::vector<relax::engine::PopBatchFlag> batch_list;
-  for (const std::string& token :
-       split_axis("pop-batch", cli.get_string("pop-batch", "1,8,auto:8"))) {
-    const auto pb = relax::engine::parse_pop_batch_flag(token);
-    if (!pb.valid) {
-      std::fprintf(stderr,
-                   "invalid --pop-batch entry '%s': expected a positive "
-                   "integer, 'auto', or 'auto:<max>'\n",
-                   token.c_str());
-      return 2;
-    }
-    batch_list.push_back(pb);
-  }
-
-  // The numa axis speaks the CLI vocabulary too (off | auto | virtual:K);
-  // each entry becomes its own sweep dimension and its own JSON key part.
-  std::vector<relax::util::TopologySpec> numa_list;
-  for (const std::string& token :
-       split_axis("numa", cli.get_string("numa", "off"))) {
-    const auto spec = relax::util::TopologySpec::parse(token);
-    if (!spec) {
-      std::fprintf(stderr,
-                   "invalid --numa entry '%s': expected 'off', 'auto', or "
-                   "'virtual:<K>' with K >= 1\n",
-                   token.c_str());
-      return 2;
-    }
-    numa_list.push_back(*spec);
-  }
-
-  const std::string backend_flag = cli.get_string("backends", "all");
-  std::vector<const BackendInfo*> backends;
-  if (backend_flag == "all") {
-    for (const auto& info : relax::sched::backend_registry())
-      backends.push_back(&info);
-  } else {
-    for (const std::string& name : split_axis("backends", backend_flag)) {
-      const auto* info = relax::sched::find_backend(name);
-      if (info == nullptr) {
-        std::fprintf(stderr, "unknown backend '%s'; valid: %s\n",
-                     name.c_str(),
-                     relax::sched::backend_names().c_str());
-        return 2;
-      }
-      backends.push_back(info);
-    }
-  }
+  // The pop-batch and numa axes speak the CLI vocabulary (fixed | auto |
+  // auto:max, off | auto | virtual:K), so adaptive rows sit next to the
+  // fixed caps they should track and each placement is its own JSON key.
+  const auto batch_list =
+      flags::parse_pop_batch_list(cli.get_string("pop-batch", "1,8,auto:8"));
+  if (!batch_list) return 2;
+  const auto numa_list = flags::parse_numa_list(cli.get_string("numa", "off"));
+  if (!numa_list) return 2;
+  const auto backends =
+      flags::parse_backend_list(cli.get_string("backends", "all"));
+  if (!backends) return 2;
 
   const Graph g = relax::graph::gnm(n, m, seed);
   const auto pri = relax::graph::random_priorities(n, seed + 7);
@@ -335,7 +282,7 @@ int main(int argc, char** argv) {
   std::printf("backend_matrix: gnm n=%u m=%llu, %zu backends, quality=%d\n",
               g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()),
-              backends.size(), quality ? 1 : 0);
+              backends->size(), quality ? 1 : 0);
   std::printf("%-9s %-20s %7s %6s %-10s %9s %12s %10s %9s %10s %10s %9s\n",
               "workload", "backend", "threads", "batch", "numa", "seconds",
               "tasks/s", "iters/task", "wasted", "p99-us", "mean-rank",
@@ -349,9 +296,9 @@ int main(int argc, char** argv) {
 
   for (const std::int64_t t : thread_list) {
     const auto threads = static_cast<unsigned>(t < 1 ? 1 : t);
-    for (const relax::engine::PopBatchFlag& pop_batch : batch_list) {
-      for (const relax::util::TopologySpec& numa : numa_list) {
-      for (const BackendInfo* backend : backends) {
+    for (const relax::engine::PopBatchFlag& pop_batch : *batch_list) {
+      for (const relax::util::TopologySpec& numa : *numa_list) {
+      for (const BackendInfo* backend : *backends) {
         emit(run_framework(
             "mis", *backend, threads, pop_batch, numa, pri,
             [&] { return relax::algorithms::AtomicMisProblem(g, pri); },

@@ -46,13 +46,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/flags.h"
 #include "obs/histogram.h"
 #include "server/protocol.h"
-#include "server/server_cli.h"
 #include "util/cli.h"
 
 namespace {
 
+namespace flags = relax::engine::flags;
 namespace protocol = relax::server::protocol;
 using Clock = std::chrono::steady_clock;
 
@@ -122,28 +123,6 @@ struct Totals {
   std::mutex hist_mu;
   relax::obs::Histogram ok_latency_ns;
 };
-
-/// Parses "--weights=a,b,c" into per-connection weight entries. Each entry
-/// must be in [0, 1024]; 0 means "server default".
-bool parse_weights(const std::string& flag,
-                   std::vector<std::uint32_t>* out) {
-  out->clear();
-  std::size_t pos = 0;
-  while (pos <= flag.size()) {
-    const std::size_t comma = flag.find(',', pos);
-    const std::string tok =
-        flag.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    if (tok.empty()) return false;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || v > 1024) return false;
-    out->push_back(static_cast<std::uint32_t>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
 
 int dial(const std::string& host, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -283,17 +262,23 @@ int main(int argc, char** argv) {
   std::uint32_t pop_batch = 0;
   bool pop_batch_auto = false;
   if (cli.has("pop-batch")) {
-    const auto pb = relax::server::cli::parse_pop_batch(
-        cli.get_string("pop-batch", "1"));
+    const auto pb = flags::parse_pop_batch(cli.get_string("pop-batch", "1"));
     if (!pb) return 2;
     pop_batch = pb->batch;
     pop_batch_auto = pb->adaptive;
   }
 
   std::vector<std::uint32_t> weights{0};
-  if (cli.has("weights") &&
-      !parse_weights(cli.get_string("weights", "0"), &weights)) {
-    usage_and_exit("--weights expects comma-separated integers in [0,1024]");
+  if (cli.has("weights")) {
+    const auto tokens =
+        flags::split_axis("weights", cli.get_string("weights", "0"));
+    if (!tokens) return 2;
+    weights.clear();
+    for (const std::string& token : *tokens) {
+      const auto w = flags::parse_weight("weights", token, /*min=*/0);
+      if (!w) return 2;
+      weights.push_back(*w);
+    }
   }
   // One result bucket per *distinct* weight, shared by every connection of
   // that class, so the report reads as tenants rather than sockets.

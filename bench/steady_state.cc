@@ -23,35 +23,18 @@
 #include <vector>
 
 #include "bench/steady_state.h"
-#include "engine/job.h"
-#include "sched/backend_registry.h"
+#include "engine/flags.h"
 #include "sched/key_distribution.h"
 #include "util/cli.h"
-#include "util/topology.h"
 
 namespace {
 
+namespace flags = relax::engine::flags;
 using relax::bench::SteadyCell;
 using relax::bench::SteadyConfig;
 using relax::sched::BackendInfo;
 using relax::sched::InsertPolicy;
 using relax::sched::KeyDistribution;
-
-/// Strict comma-split of an axis flag: empty tokens (trailing comma,
-/// doubled comma, empty value) exit 2 with the flag named, instead of
-/// feeding "" into a registry/name lookup.
-std::vector<std::string> split_axis(const std::string& flag,
-                                    const std::string& value) {
-  auto tokens = relax::util::split_csv(value);
-  if (!tokens) {
-    std::fprintf(stderr,
-                 "invalid --%s='%s': empty value or empty list entry "
-                 "(trailing/doubled comma?)\n",
-                 flag.c_str(), value.c_str());
-    std::exit(2);
-  }
-  return *tokens;
-}
 
 std::string batch_label(const SteadyCell& c) {
   return (c.pop_batch_auto ? "a" : "") + std::to_string(c.pop_batch);
@@ -151,37 +134,13 @@ int main(int argc, char** argv) {
 
   const auto thread_list = cli.get_int_list("threads", {1, 4});
 
-  std::vector<relax::engine::PopBatchFlag> batch_list;
-  for (const std::string& token :
-       split_axis("pop-batch", cli.get_string("pop-batch", "1,8"))) {
-    const auto pb = relax::engine::parse_pop_batch_flag(token);
-    if (!pb.valid) {
-      std::fprintf(stderr,
-                   "invalid --pop-batch entry '%s': expected a positive "
-                   "integer, 'auto', or 'auto:<max>'\n",
-                   token.c_str());
-      return 2;
-    }
-    batch_list.push_back(pb);
-  }
+  const auto batch_list =
+      flags::parse_pop_batch_list(cli.get_string("pop-batch", "1,8"));
+  if (!batch_list) return 2;
 
-  std::vector<const BackendInfo*> backends;
-  const std::string backend_flag = cli.get_string(
-      "backends", "multiqueue-c2,lockfree-multiqueue,spraylist");
-  if (backend_flag == "all") {
-    for (const auto& info : relax::sched::backend_registry())
-      backends.push_back(&info);
-  } else {
-    for (const std::string& name : split_axis("backends", backend_flag)) {
-      const auto* info = relax::sched::find_backend(name);
-      if (info == nullptr) {
-        std::fprintf(stderr, "unknown backend '%s'; valid: %s\n",
-                     name.c_str(), relax::sched::backend_names().c_str());
-        return 2;
-      }
-      backends.push_back(info);
-    }
-  }
+  const auto backends = flags::parse_backend_list(cli.get_string(
+      "backends", "multiqueue-c2,lockfree-multiqueue,spraylist"));
+  if (!backends) return 2;
 
   std::vector<InsertPolicy> policies;
   const std::string policy_flag = cli.get_string("policies", "uniform");
@@ -189,7 +148,9 @@ int main(int argc, char** argv) {
     for (const InsertPolicy p : relax::sched::all_insert_policies())
       policies.push_back(p);
   } else {
-    for (const std::string& name : split_axis("policies", policy_flag)) {
+    const auto names = flags::split_axis("policies", policy_flag);
+    if (!names) return 2;
+    for (const std::string& name : *names) {
       const auto p = relax::sched::parse_insert_policy(name);
       if (!p) {
         std::fprintf(stderr,
@@ -205,19 +166,8 @@ int main(int argc, char** argv) {
   // Topology axis: each entry is a TopologySpec the timed pass stripes and
   // pins under (off | auto | virtual:<K>), recorded per JSON cell so
   // bench_diff.py keys off-vs-striped rows apart.
-  std::vector<relax::util::TopologySpec> numa_list;
-  for (const std::string& token :
-       split_axis("numa", cli.get_string("numa", "off"))) {
-    const auto spec = relax::util::TopologySpec::parse(token);
-    if (!spec) {
-      std::fprintf(stderr,
-                   "invalid --numa entry '%s': expected 'off', 'auto', or "
-                   "'virtual:<K>' with K >= 1\n",
-                   token.c_str());
-      return 2;
-    }
-    numa_list.push_back(*spec);
-  }
+  const auto numa_list = flags::parse_numa_list(cli.get_string("numa", "off"));
+  if (!numa_list) return 2;
 
   std::vector<KeyDistribution> distributions;
   const std::string dist_flag = cli.get_string("distributions", "uniform");
@@ -225,7 +175,9 @@ int main(int argc, char** argv) {
     for (const KeyDistribution d : relax::sched::all_key_distributions())
       distributions.push_back(d);
   } else {
-    for (const std::string& name : split_axis("distributions", dist_flag)) {
+    const auto names = flags::split_axis("distributions", dist_flag);
+    if (!names) return 2;
+    for (const std::string& name : *names) {
       const auto d = relax::sched::parse_key_distribution(name);
       if (!d) {
         std::fprintf(stderr,
@@ -250,9 +202,9 @@ int main(int argc, char** argv) {
 
   std::vector<SteadyCell> cells;
   for (const std::int64_t t : thread_list) {
-    for (const relax::engine::PopBatchFlag& pb : batch_list) {
-      for (const relax::util::TopologySpec& numa : numa_list) {
-        for (const BackendInfo* backend : backends) {
+    for (const relax::engine::PopBatchFlag& pb : *batch_list) {
+      for (const relax::util::TopologySpec& numa : *numa_list) {
+        for (const BackendInfo* backend : *backends) {
           for (const InsertPolicy policy : policies) {
             for (const KeyDistribution dist : distributions) {
               SteadyConfig cfg = base;

@@ -50,15 +50,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/flags.h"
 #include "obs/metrics.h"
 #include "sched/backend_registry.h"
 #include "server/server.h"
-#include "server/server_cli.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
 namespace {
 
+namespace flags = relax::engine::flags;
 namespace protocol = relax::server::protocol;
 
 /// What the submit loop remembers about an in-flight request, keyed by
@@ -78,16 +79,15 @@ int main(int argc, char** argv) {
       std::max(1, static_cast<int>(cli.get_int("inflight", 4)));
   const int audit_every = static_cast<int>(cli.get_int("audit", 8));
 
-  const auto pb =
-      relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "1"));
+  const auto pb = flags::parse_pop_batch(cli.get_string("pop-batch", "1"));
   if (!pb) return 2;
 
-  const auto backends = relax::server::cli::resolve_backends(cli.get_string(
-      "backend", std::string(relax::sched::default_backend().name)));
-  if (backends.empty()) return 2;
+  auto backends = flags::resolve_backends(cli.get_string("backend", ""));
+  if (!backends) return 2;
+  if (backends->empty())  // no --backend: the registry default
+    backends->push_back(&relax::sched::default_backend());
 
-  const auto numa =
-      relax::server::cli::parse_numa(cli.get_string("numa", "off"));
+  const auto numa = flags::parse_numa(cli.get_string("numa", "off"));
   if (!numa) return 2;
 
   const std::string metrics_path = cli.get_string("metrics", "");
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
     req.pop_batch_auto = pb->adaptive;
     req.audit = audit_every > 0 && r % audit_every == 0;
     const auto* backend =
-        backends[static_cast<std::size_t>(r) % backends.size()];
+        (*backends)[static_cast<std::size_t>(r) % backends->size()];
     req.backend = std::string(backend->name);
     pending.emplace(req.id, Pending{kKindNames[r % 3], backend, pb->batch});
 
@@ -203,6 +203,6 @@ int main(int argc, char** argv) {
       total > 0.0 ? static_cast<double>(completed) / total : 0.0,
       completed > 0 ? latency_sum / completed : 0.0);
 
-  relax::server::cli::dump_metrics(registry, metrics_path);
+  flags::dump_metrics(registry, metrics_path);
   return 0;
 }

@@ -7,10 +7,12 @@
 // trade-off: wasted (stale) pops versus parallel speedup, with exactness
 // of the distances verified against sequential Dijkstra.
 //
-// Usage: road_network_sssp [--side=1200] [--threads=0] [--pop-batch=1]
+// Usage: road_network_sssp [--side=1200] [--threads=0]
+//                          [--pop-batch=<k>|auto[:max]]
 #include <cstdio>
 
 #include "algorithms/sssp.h"
+#include "engine/flags.h"
 #include "graph/generators.h"
 #include "util/cli.h"
 #include "util/thread_pin.h"
@@ -20,7 +22,9 @@ int main(int argc, char** argv) {
   const relax::util::CommandLine cli(argc, argv);
   const auto side = static_cast<std::uint32_t>(cli.get_int("side", 1200));
   const auto threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  const auto pop_batch = static_cast<unsigned>(cli.get_int("pop-batch", 1));
+  const auto pb =
+      relax::engine::flags::parse_pop_batch(cli.get_string("pop-batch", "1"));
+  if (!pb) return 2;
 
   std::printf("building a %ux%u road grid...\n", side, side);
   const auto g = relax::graph::grid(side, side);
@@ -35,7 +39,8 @@ int main(int argc, char** argv) {
   relax::algorithms::SsspOptions opts;
   opts.num_threads = threads;
   opts.seed = 3;
-  opts.pop_batch = pop_batch;
+  opts.pop_batch = pb->batch;
+  opts.pop_batch_auto = pb->adaptive;
   relax::algorithms::SsspStats stats;
   const auto dist = relax::algorithms::parallel_relaxed_sssp(
       g, weights, depot, opts, &stats);

@@ -99,7 +99,10 @@ AtomicKnuthShuffleProblem::AtomicKnuthShuffleProblem(
 bool AtomicKnuthShuffleProblem::is_min_unprocessed(core::Task i,
                                                    std::uint32_t pos) {
   const auto tasks = index_->tasks_at(pos);
-  std::uint32_t h = head_[pos].load(std::memory_order_relaxed);
+  // Acquire: a cursor past task j stands in for j's processed flag, so it
+  // must carry j's swap with it (the advancing thread read that flag with
+  // acquire and publishes the cursor with release below).
+  std::uint32_t h = head_[pos].load(std::memory_order_acquire);
   while (h < tasks.size() &&
          processed_[tasks[h]].load(std::memory_order_acquire)) {
     ++h;
@@ -108,7 +111,8 @@ bool AtomicKnuthShuffleProblem::is_min_unprocessed(core::Task i,
   // only skips tasks that are already processed.
   std::uint32_t cur = head_[pos].load(std::memory_order_relaxed);
   while (cur < h && !head_[pos].compare_exchange_weak(
-                        cur, h, std::memory_order_relaxed)) {
+                        cur, h, std::memory_order_release,
+                        std::memory_order_relaxed)) {
   }
   return h < tasks.size() && tasks[h] == i;
 }

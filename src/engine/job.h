@@ -28,9 +28,9 @@
 //
 // Admission is batched and cooperative: the submitting thread does not load
 // the initial keys. Workers claim chunks of the initial-key range from an
-// atomic cursor inside run_slice and push them through BatchInserter, so a
-// large job's admission is spread over the pool and overlaps both its own
-// execution and other jobs.
+// atomic cursor inside run_slice and insert each chunk as one
+// sched::insert_batch run, so a large job's admission is spread over the
+// pool and overlaps both its own execution and other jobs.
 //
 // Termination is striped counting over key *instances*: every popped key
 // retires, and every key a step puts back into the scheduler (a kNotReady
@@ -111,7 +111,6 @@
 
 #include "core/execution_stats.h"
 #include "core/problem.h"
-#include "engine/batch_inserter.h"
 #include "graph/permutation.h"
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
@@ -206,8 +205,7 @@ struct JobConfig {
 /// safe degraded value (1, or the default auto cap) so library callers
 /// keep working, but CLI front-ends must reject the flag with a clear
 /// error instead of silently running a batch size the user never asked
-/// for (a zero cap flowing into the batch controller was satellite bug
-/// territory; see tools/relaxsched.cc and examples/job_server.cpp).
+/// for; engine::flags::parse_pop_batch (engine/flags.h) does that.
 struct PopBatchFlag {
   std::uint32_t batch = 1;
   bool adaptive = false;
@@ -710,9 +708,11 @@ class RelaxedJob : public TaskJobBase {
     if (lo >= n_) return false;
     const auto hi = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(n_, lo + JobConfig::kAdmissionBatch));
-    BatchInserter<Handle> inserter(handle, hi - static_cast<std::uint32_t>(lo));
+    std::vector<Key> chunk;
+    chunk.reserve(hi - static_cast<std::uint32_t>(lo));
     for (auto i = static_cast<std::uint32_t>(lo); i < hi; ++i)
-      inserter.push(keys_.initial_key(i));
+      chunk.push_back(keys_.initial_key(i));
+    sched::insert_batch(handle, std::span<const Key>(chunk));
     return true;
   }
 

@@ -330,8 +330,6 @@ class BasicConcurrentMultiQueue {
     const std::size_t start = util::bounded(rng, q);
     for (std::size_t c = 0; c < chunks; ++c) {
       if (c >= sorted.size()) break;  // more targets than keys
-      // This target's strided share: ceil((size - c) / chunks) elements.
-      const std::size_t share = (sorted.size() - c + chunks - 1) / chunks;
       auto& sq = *queues_[block_begin + (start + c) % q];
       sq.lock.lock();
       std::lock_guard<util::Spinlock> guard(sq.lock, std::adopt_lock);
@@ -344,7 +342,6 @@ class BasicConcurrentMultiQueue {
         sq.compactions.fetch_add(1, std::memory_order_release);
       }
       const auto mid = static_cast<std::ptrdiff_t>(sq.base.size());
-      sq.base.reserve(sq.base.size() + share);
       for (std::size_t i = c; i < sorted.size(); i += chunks)
         sq.base.push_back(sorted[i]);
       // The strided subsequence is already sorted. Admission streams labels

@@ -272,26 +272,20 @@ protocol::Status JobServer::admit_request(
     return reject(protocol::ErrorCode::kBadGraph,
                   "graph_id names no resident graph");
   const sched::BackendInfo* backend = nullptr;
-  if (req.backend.empty()) {
-    if (!opts_.backend_rotation.empty()) {
-      // Defaulted requests round-robin through the rotation (the
-      // --backend=mix multi-tenant pool); a request that names a backend
-      // bypasses it below.
-      const std::uint64_t at =
-          rotation_next_.fetch_add(1, std::memory_order_relaxed);
-      backend = sched::find_backend(
-          opts_.backend_rotation[at % opts_.backend_rotation.size()]);
-    } else {
-      backend = opts_.default_backend.empty()
-                    ? &sched::default_backend()
-                    : sched::find_backend(opts_.default_backend);
-    }
-  } else {
+  if (!req.backend.empty()) {
     backend = sched::find_backend(req.backend);
+    if (backend == nullptr)
+      return reject(protocol::ErrorCode::kBadBackend,
+                    "unknown backend '" + req.backend + "'");
+  } else if (opts_.backends.empty()) {
+    backend = &sched::default_backend();
+  } else {
+    // Defaulted requests take the configured backend, round-robin when
+    // there are several (the --backend=mix multi-tenant pool).
+    const std::uint64_t at =
+        rotation_next_.fetch_add(1, std::memory_order_relaxed);
+    backend = opts_.backends[at % opts_.backends.size()];
   }
-  if (backend == nullptr)
-    return reject(protocol::ErrorCode::kBadBackend,
-                  "unknown backend '" + req.backend + "'");
 
   engine::JobConfig cfg;
   cfg.seed = req.seed;

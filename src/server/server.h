@@ -62,6 +62,7 @@
 #include "engine/engine.h"
 #include "graph/graph.h"
 #include "graph/permutation.h"
+#include "sched/backend_registry.h"
 #include "server/protocol.h"
 
 namespace relax::server {
@@ -85,24 +86,23 @@ struct ServerOptions {
   /// whose overflow becomes BUSY responses.
   engine::EngineOptions engine;
 
-  /// Defaults applied when a request leaves the field at 0 / "".
-  std::string default_backend;  // "" = registry default
+  /// Backends for requests that name none (engine::flags::resolve_backends
+  /// builds this from --backend): empty runs the registry default, one
+  /// entry runs that backend, and more than one makes defaulted requests
+  /// round-robin through the entries — `relax_server --backend=mix` lists
+  /// the whole registry, turning one server into a deliberately
+  /// heterogeneous multi-tenant pool (the QoS governor's cost
+  /// normalization is what keeps such a mix comparable). Requests that
+  /// *name* a backend bypass this entirely.
+  std::vector<const sched::BackendInfo*> backends;
+
+  /// Defaults applied when a request leaves the field at 0.
   std::uint32_t default_pop_batch = 1;
   bool default_pop_batch_auto = false;
   /// QoS weight applied when a request carries weight 0 ("use the server
   /// default"). Requests that predate the weight field decode as 1 and
   /// never take this value. Clamped to [1, JobConfig::kMaxWeight].
   std::uint32_t default_weight = 1;
-
-  /// Backend rotation for requests that name no backend. Empty keeps the
-  /// historical behaviour (every defaulted request runs default_backend);
-  /// nonempty makes defaulted requests round-robin through these registry
-  /// names — `relax_server --backend=mix` fills it with the whole
-  /// registry, turning one server into a deliberately heterogeneous
-  /// multi-tenant pool (the QoS governor's cost normalization is what
-  /// keeps such a mix comparable). Requests that *name* a backend bypass
-  /// the rotation entirely.
-  std::vector<std::string> backend_rotation;
 
   /// Resident data, generated at startup.
   std::vector<GraphSpec> graphs = {GraphSpec{}};
@@ -228,7 +228,7 @@ class JobServer {
   std::atomic<bool> stop_{false};
   std::unordered_map<std::uint64_t, Connection> conns_;
   std::uint64_t next_conn_id_ = 2;  // 0 = listen sentinel, 1 = wake sentinel
-  /// Round-robin cursor into opts_.backend_rotation. Atomic because
+  /// Round-robin cursor into opts_.backends. Atomic because
   /// submit_local may be driven from several caller threads, unlike the
   /// single epoll thread.
   std::atomic<std::uint64_t> rotation_next_{0};

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "sched/order_stat_set.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace relax::sched {
 namespace {
@@ -424,6 +426,46 @@ TEST(ConcurrentMultiQueue, BulkInsertCompactionTriggersAndLosesNothing) {
   EXPECT_EQ(popped, kN);
   EXPECT_TRUE(q.empty());
   for (std::uint32_t i = 0; i < kN; ++i) ASSERT_TRUE(seen[i]) << "label " << i;
+}
+
+TEST(ConcurrentMultiQueue, AppendingRunsCostsAmortizedNotLiveSize) {
+  // A batched insert that lands above a sub-queue's tail is a plain append.
+  // Its cost must not scale with the live elements already there: many
+  // small runs have to take about as long as the same keys in one run.
+  // Reserving the exact new size on every call defeats the vector's
+  // geometric growth: each small run then copies the whole array, which
+  // is hundreds of times slower than the single run at this size.
+  constexpr Priority kLive = 1'000'000;
+  constexpr std::uint32_t kRuns = 2000;
+  constexpr std::uint32_t kRunLength = 64;
+  std::vector<Priority> keys(kLive);
+  for (Priority p = 0; p < kLive; ++p) keys[p] = p;
+  std::vector<Priority> appended(kRuns * kRunLength);
+  for (std::uint32_t i = 0; i < appended.size(); ++i) appended[i] = kLive + i;
+
+  const auto timed = [&](bool one_call) {
+    ConcurrentMultiQueue q(2, 7);
+    q.bulk_load(keys);
+    util::Timer timer;
+    if (one_call) {
+      q.bulk_insert(appended);
+    } else {
+      for (std::uint32_t r = 0; r < kRuns; ++r)
+        q.bulk_insert(std::span<const Priority>(
+            appended.data() + r * kRunLength, kRunLength));
+    }
+    const double seconds = timer.seconds();
+    EXPECT_EQ(q.size(), kLive + appended.size());
+    return seconds;
+  };
+  double runs = 1e9;
+  double single = 1e9;
+  for (int trial = 0; trial < 5; ++trial) {
+    runs = std::min(runs, timed(false));
+    single = std::min(single, timed(true));
+  }
+  EXPECT_LE(runs, 10.0 * single)
+      << "runs " << runs << " s vs one call " << single << " s";
 }
 
 TEST(ConcurrentMultiQueue, SingleSubQueuePairPopsExactWithBulkLoad) {

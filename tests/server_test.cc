@@ -20,6 +20,7 @@
 
 #include "graph/permutation.h"
 #include "obs/metrics.h"
+#include "sched/backend_registry.h"
 
 namespace protocol = relax::server::protocol;
 using relax::server::GraphSpec;
@@ -361,4 +362,43 @@ TEST(JobServer, SubmitLocalDrivesTheSamePath) {
   EXPECT_EQ(status, protocol::Status::kError);
   EXPECT_EQ(immediate.id, 6u);
   EXPECT_EQ(immediate.error, protocol::ErrorCode::kBadGraph);
+}
+
+TEST(JobServer, DefaultedRequestsRotateThroughConfiguredBackends) {
+  // One worker makes both backends deterministic: "exact" pops the true
+  // minimum every time (no failed deletes), "kbounded" pops out of order
+  // inside its window (some tasks come back not ready).
+  ServerOptions opts = small_server_options();
+  opts.listen = false;
+  opts.engine.num_threads = 1;
+  opts.backends = {relax::sched::find_backend("exact"),
+                   relax::sched::find_backend("kbounded")};
+  ASSERT_NE(opts.backends[0], nullptr);
+  ASSERT_NE(opts.backends[1], nullptr);
+  JobServer server(std::move(opts));
+
+  const auto run = [&server](std::uint64_t id, const char* backend) {
+    protocol::Request req;
+    req.id = id;
+    req.kind = protocol::Kind::kMis;
+    req.backend = backend;
+    std::promise<protocol::Response> done;
+    auto fut = done.get_future();
+    protocol::Response immediate;
+    EXPECT_EQ(server.submit_local(
+                  req,
+                  [&done](const protocol::Response& r) { done.set_value(r); },
+                  &immediate),
+              protocol::Status::kOk);
+    return fut.get();
+  };
+
+  EXPECT_EQ(run(1, "").failed_deletes, 0u);  // rotation slot 0: exact
+  // A request that names its backend bypasses the rotation: the next
+  // defaulted request still takes slot 1.
+  EXPECT_GT(run(2, "kbounded").failed_deletes, 0u);
+  EXPECT_GT(run(3, "").failed_deletes, 0u);  // slot 1: kbounded
+  EXPECT_EQ(run(4, "exact").failed_deletes, 0u);
+  EXPECT_EQ(run(5, "").failed_deletes, 0u);  // back to slot 0: exact
+  EXPECT_GT(run(6, "").failed_deletes, 0u);  // slot 1: kbounded
 }

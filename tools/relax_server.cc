@@ -15,17 +15,18 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "engine/flags.h"
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
 #include "server/server.h"
-#include "server/server_cli.h"
 #include "util/cli.h"
 
 namespace {
+
+namespace flags = relax::engine::flags;
 
 [[noreturn]] void usage_and_exit(const char* error) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
@@ -97,41 +98,21 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(1, cli.get_int("pending", 64)));
 
   const std::string backend_flag = cli.get_string("backend", "");
-  if (!backend_flag.empty()) {
-    if (backend_flag == "mix") {
-      // Server-side rotation: defaulted requests cycle through the whole
-      // registry, one heterogeneous multi-tenant pool (the QoS governor
-      // keeps the mix fair). Requests that name a backend still win.
-      for (const auto* info : relax::server::cli::resolve_backends("mix"))
-        opts.backend_rotation.push_back(std::string(info->name));
-    } else if (relax::sched::find_backend(backend_flag) == nullptr) {
-      std::fprintf(stderr, "unknown --backend '%s'; valid: %s\n",
-                   backend_flag.c_str(),
-                   relax::sched::backend_names().c_str());
-      return 2;
-    } else {
-      opts.default_backend = backend_flag;
-    }
-  }
+  const auto backends = flags::resolve_backends(backend_flag);
+  if (!backends) return 2;
+  opts.backends = *backends;
 
-  const std::int64_t default_weight = cli.get_int("default-weight", 1);
-  if (default_weight < 1 ||
-      default_weight >
-          static_cast<std::int64_t>(relax::engine::JobConfig::kMaxWeight)) {
-    std::fprintf(stderr, "--default-weight must be in [1, %u]\n",
-                 relax::engine::JobConfig::kMaxWeight);
-    return 2;
-  }
-  opts.default_weight = static_cast<std::uint32_t>(default_weight);
+  const auto default_weight = flags::parse_weight(
+      "default-weight", cli.get_string("default-weight", "1"));
+  if (!default_weight) return 2;
+  opts.default_weight = *default_weight;
 
-  const auto pb =
-      relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "1"));
+  const auto pb = flags::parse_pop_batch(cli.get_string("pop-batch", "1"));
   if (!pb) return 2;
   opts.default_pop_batch = pb->batch;
   opts.default_pop_batch_auto = pb->adaptive;
 
-  const auto numa =
-      relax::server::cli::parse_numa(cli.get_string("numa", "off"));
+  const auto numa = flags::parse_numa(cli.get_string("numa", "off"));
   if (!numa) return 2;
   opts.engine.topology = *numa;
 
@@ -169,7 +150,7 @@ int main(int argc, char** argv) {
           ? "(registry default)"
           : (backend_flag == "mix" ? "mix (registry rotation)"
                                    : backend_flag.c_str()),
-      static_cast<unsigned>(default_weight));
+      *default_weight);
   std::printf("listening on %s:%u\n",
               cli.get_string("host", "127.0.0.1").c_str(),
               static_cast<unsigned>(server->port()));
@@ -184,15 +165,7 @@ int main(int argc, char** argv) {
   // Destroy the server before exporting telemetry: teardown drains every
   // in-flight job, so the registry and trace ring are quiescent here.
   server.reset();
-  relax::server::cli::dump_metrics(registry, metrics_path);
-  if (!trace_path.empty()) {
-    if (trace_path == "-") {
-      const std::string text = ring.to_chrome_json();
-      std::fwrite(text.data(), 1, text.size(), stdout);
-    } else if (!ring.write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "warning: cannot write trace '%s'\n",
-                   trace_path.c_str());
-    }
-  }
+  flags::dump_metrics(registry, metrics_path);
+  flags::dump_trace(ring, trace_path);
   return 0;
 }

@@ -36,6 +36,7 @@
 #include "algorithms/sssp.h"
 #include "core/parallel_executor.h"
 #include "core/sequential_executor.h"
+#include "engine/flags.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "sched/backend_registry.h"
@@ -53,6 +54,7 @@
 
 namespace {
 
+namespace flags = relax::engine::flags;
 using relax::core::ExecutionStats;
 using relax::graph::Graph;
 
@@ -145,17 +147,12 @@ Graph make_graph(const relax::util::CommandLine& cli) {
   usage_and_exit("unknown --graph kind");
 }
 
-/// Resolves the --backend flag, exiting with the valid list on a bad name.
+/// Resolves the --backend flag, exiting 2 on a bad name.
 const relax::sched::BackendInfo& backend_from_cli(
     const relax::util::CommandLine& cli) {
-  const std::string name =
-      cli.get_string("backend", std::string(relax::sched::default_backend().name));
-  const auto* info = relax::sched::find_backend(name);
-  if (info == nullptr) {
-    std::fprintf(stderr, "error: unknown --backend '%s'\nvalid backends: %s\n",
-                 name.c_str(), relax::sched::backend_names().c_str());
-    std::exit(2);
-  }
+  const auto* info = flags::parse_backend(cli.get_string(
+      "backend", std::string(relax::sched::default_backend().name)));
+  if (info == nullptr) std::exit(2);
   return *info;
 }
 
@@ -185,38 +182,11 @@ void warn_telemetry_unsupported(const char* mode) {
                mode);
 }
 
-void write_text(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write '%s'\n", path.c_str());
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-}
-
 /// Runs after the engine run completes (ticket waited, engine destroyed):
 /// the registry/ring are quiescent, so exporting here is race-free.
 void dump_telemetry() {
-  if (!g_telemetry.metrics_path.empty()) {
-    const std::string& p = g_telemetry.metrics_path;
-    const bool json =
-        p.size() >= 5 && p.compare(p.size() - 5, 5, ".json") == 0;
-    write_text(p, json ? g_telemetry.registry.to_json()
-                       : g_telemetry.registry.to_prometheus());
-  }
-  if (!g_telemetry.trace_path.empty()) {
-    if (g_telemetry.trace_path == "-") {
-      write_text("-", g_telemetry.ring.to_chrome_json());
-    } else if (!g_telemetry.ring.write_chrome_json(g_telemetry.trace_path)) {
-      std::fprintf(stderr, "warning: cannot write trace '%s'\n",
-                   g_telemetry.trace_path.c_str());
-    }
-  }
+  flags::dump_metrics(g_telemetry.registry, g_telemetry.metrics_path);
+  flags::dump_trace(g_telemetry.ring, g_telemetry.trace_path);
 }
 
 relax::core::ParallelOptions parallel_opts(
@@ -227,39 +197,20 @@ relax::core::ParallelOptions parallel_opts(
   if (!g_telemetry.trace_path.empty()) opts.trace = &g_telemetry.ring;
   opts.num_threads = static_cast<unsigned>(cli.get_int("threads", 0));
   opts.queue_factor = static_cast<unsigned>(cli.get_int("queue-factor", 4));
-  const std::string pop_batch_value = cli.get_string("pop-batch", "1");
-  const auto pb = relax::engine::parse_pop_batch_flag(pop_batch_value);
-  if (!pb.valid) {
-    std::fprintf(stderr,
-                 "error: invalid --pop-batch '%s': expected a positive "
-                 "integer, 'auto', or 'auto:<max>'\n\n",
-                 pop_batch_value.c_str());
-    std::exit(2);
-  }
-  opts.pop_batch = pb.batch;
-  opts.pop_batch_auto = pb.adaptive;
+  const auto pb = flags::parse_pop_batch(cli.get_string("pop-batch", "1"));
+  if (!pb) std::exit(2);
+  opts.pop_batch = pb->batch;
+  opts.pop_batch_auto = pb->adaptive;
   if (cli.has("k"))
     opts.relaxation_k = static_cast<std::uint32_t>(cli.get_int("k", 0));
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const std::int64_t weight = cli.get_int("weight", 1);
-  if (weight < 1 ||
-      weight >
-          static_cast<std::int64_t>(relax::engine::JobConfig::kMaxWeight)) {
-    std::fprintf(stderr, "error: --weight must be in [1, %u]\n\n",
-                 relax::engine::JobConfig::kMaxWeight);
-    std::exit(2);
-  }
-  opts.weight = static_cast<std::uint32_t>(weight);
-  const std::string numa_value = cli.get_string("numa", "off");
-  const auto spec = relax::util::TopologySpec::parse(numa_value);
-  if (!spec) {
-    std::fprintf(stderr,
-                 "error: invalid --numa '%s': expected 'off', 'auto', or "
-                 "'virtual:<K>' with K >= 1\n\n",
-                 numa_value.c_str());
-    std::exit(2);
-  }
-  opts.topology = *spec;
+  const auto weight =
+      flags::parse_weight("weight", cli.get_string("weight", "1"));
+  if (!weight) std::exit(2);
+  opts.weight = *weight;
+  const auto numa = flags::parse_numa(cli.get_string("numa", "off"));
+  if (!numa) std::exit(2);
+  opts.topology = *numa;
   return opts;
 }
 
