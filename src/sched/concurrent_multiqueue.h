@@ -3,10 +3,14 @@
 //
 // Layout: q = queue_factor * num_threads sub-queues (the paper uses factor
 // 4), each a cache-line-padded {spinlock, two-part priority queue (sorted
-// bulk-load array + 8-ary overflow min-heap), atomic top cache}.
+// `base` array consumed by a cursor + 8-ary min-heap for keys that arrive
+// below base's tail), atomic top cache}. Every insert follows one rule
+// (SubQueue::insert_run): runs at or above the tail append to base, runs
+// below it go to the heap, and a heap grown past 1/16 of the live base
+// spills back into base in one merge.
 //
 //   Insert(p):        lock a uniformly random sub-queue (retrying with a new
-//                     victim on contention), push, refresh the top cache.
+//                     victim on contention), insert, refresh the top cache.
 //   ApproxGetMin():   sample two distinct sub-queues, compare their atomic
 //                     top caches without locking, lock the apparent smaller
 //                     one, re-verify, pop. On contention or a lost race,
@@ -97,9 +101,9 @@ class BasicConcurrentMultiQueue {
       mq_->bulk_insert(keys, rng_, &ctx_);
     }
     /// Native batched insert (the uniform name sched::insert_batch
-    /// dispatches on): the chunked sorted-run merge of bulk_insert — sort
-    /// each chunk, one lock per target sub-queue, one splice into the
-    /// sorted base array.
+    /// dispatches on): bulk_insert's strided deal — sort the run once, one
+    /// lock per target sub-queue, each share inserted by the sub-queue's
+    /// append-or-heap rule.
     void insert_batch(std::span<const Key> keys) {
       mq_->bulk_insert(keys, rng_, &ctx_);
     }
@@ -220,7 +224,7 @@ class BasicConcurrentMultiQueue {
     return sizes;
   }
 
-  /// Number of consumed-prefix compactions bulk_insert has performed across
+  /// Number of consumed-prefix compactions inserts have performed across
   /// all sub-queues (exact when quiescent). Lets tests prove the compaction
   /// path actually ran instead of asserting around it.
   [[nodiscard]] std::uint64_t compactions() const noexcept {
@@ -230,31 +234,51 @@ class BasicConcurrentMultiQueue {
     return total;
   }
 
-  /// Minimum keys per bulk_insert chunk: below this the sort/merge overhead
-  /// stops amortizing and the batch targets fewer sub-queues (never fewer
-  /// than two — see bulk_insert).
+  /// Number of heap-into-base spills across all sub-queues (exact when
+  /// quiescent); the same kind of test seam as compactions().
+  [[nodiscard]] std::uint64_t spills() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& q : queues_)
+      total += q->spills.load(std::memory_order_acquire);
+    return total;
+  }
+
+  /// Minimum keys per bulk_insert chunk: below this the sort and lock
+  /// overhead stops amortizing and the batch targets fewer sub-queues
+  /// (never fewer than two — see bulk_insert).
   static constexpr std::size_t kMinBulkChunk = 64;
+  /// Spill rule for keys inserted below a sub-queue's base tail: they wait
+  /// in the heap until it holds at least kSpillMinKeys keys and at least
+  /// 1/kSpillDivisor of the live base, then merge into base in one pass.
+  /// A spill costs O(live) once per live/16 such keys, so each key pays
+  /// about 16 moves plus its share of a sort, while the heap stays small
+  /// enough that pops remain mostly cursor advances.
+  static constexpr std::size_t kSpillMinKeys = 256;
+  static constexpr std::size_t kSpillDivisor = 16;
 
  private:
   struct SubQueue {
     util::Spinlock lock;
     std::atomic<Key> top{kEmptyTop};
     std::atomic<std::size_t> count{0};  // updated under lock: same line
-    // Two-part priority queue. `base` holds the bulk-loaded initial task
-    // set, sorted, consumed front-to-back by `cursor`: pops from it are
-    // O(1) and stream sequentially through memory instead of sifting a
-    // multi-megabyte heap (heap pops on cold memory dominate per-op cost
-    // and are what makes a naive 1-thread MultiQueue several times slower
-    // than the sequential baseline — the paper reports the two should be
-    // close). `heap` (8-ary: each sift level is one cache line of
-    // children) takes dynamic inserts — for framework executions only the
-    // poly(k) re-insertions, so it stays small and hot.
+    // Two-part priority queue. `base` is sorted and consumed front-to-back
+    // by `cursor`: pops from it are O(1) and stream sequentially through
+    // memory instead of sifting a multi-megabyte heap (heap pops on cold
+    // memory dominate per-op cost and are what makes a naive 1-thread
+    // MultiQueue several times slower than the sequential baseline — the
+    // paper reports the two should be close). It holds the bulk-loaded
+    // task set plus every run that arrived at or above its tail. `heap`
+    // (8-ary: each sift level is one cache line of children) holds keys
+    // that arrived below the tail until they spill back into base (see
+    // insert_run), so it stays small and hot.
     std::vector<Key> base;
     std::size_t cursor = 0;
     DaryHeap<Key, 8> heap;
-    // Consumed-prefix compactions performed on this sub-queue (stored under
-    // the lock, atomic so quiescent readers need no lock).
+    // Consumed-prefix compactions and heap spills performed on this
+    // sub-queue (stored under the lock, atomic so quiescent readers need no
+    // lock).
     std::atomic<std::uint64_t> compactions{0};
+    std::atomic<std::uint64_t> spills{0};
 
     [[nodiscard]] Key current_min() const noexcept {
       const Key b = cursor < base.size() ? base[cursor] : kEmptyTop;
@@ -273,6 +297,58 @@ class BasicConcurrentMultiQueue {
       return heap.pop();
     }
 
+    /// The one insert rule, under lock. Inserts the sorted keys
+    /// run[first], run[first + stride], ... (bulk_insert's strided share;
+    /// a single insert is a run of one).
+    ///  - At or above the tail, or into a fully consumed base: append to
+    ///    base, O(run).
+    ///  - Below the tail: push into the heap, O(log h) per key; once the
+    ///    heap passes the spill rule (kSpillMinKeys, kSpillDivisor), merge
+    ///    it into base in one pass.
+    void insert_run(std::span<const Key> run, std::size_t first,
+                    std::size_t stride) {
+      if (cursor == base.size() || run[first] >= base.back()) {
+        // Long-lived queues accumulate a consumed prefix in base; drop it
+        // before growing so memory stays proportional to live elements.
+        if (cursor > 0 && cursor * 2 >= base.size()) drop_consumed();
+        for (std::size_t i = first; i < run.size(); i += stride)
+          base.push_back(run[i]);
+        return;
+      }
+      for (std::size_t i = first; i < run.size(); i += stride)
+        heap.push(run[i]);
+      if (heap.size() >= kSpillMinKeys &&
+          heap.size() * kSpillDivisor >= base.size() - cursor)
+        spill();
+    }
+
+    void drop_consumed() {
+      base.erase(base.begin(),
+                 base.begin() + static_cast<std::ptrdiff_t>(cursor));
+      cursor = 0;
+      compactions.fetch_add(1, std::memory_order_release);
+    }
+
+    /// Merges the whole heap into base: sort the heap's array, drop the
+    /// consumed prefix, then merge in place from the back, so the merge
+    /// needs no buffer beyond the heap's own array.
+    void spill() {
+      std::vector<Key> run = heap.release();
+      std::sort(run.begin(), run.end());
+      if (cursor > 0) drop_consumed();
+      std::size_t b = base.size();
+      std::size_t h = run.size();
+      base.resize(b + h);
+      for (std::size_t out = b + h; h > 0;) {
+        if (b > 0 && base[b - 1] > run[h - 1]) {
+          base[--out] = base[--b];
+        } else {
+          base[--out] = run[--h];
+        }
+      }
+      spills.fetch_add(1, std::memory_order_release);
+    }
+
     void refresh_top() noexcept {
       top.store(current_min(), std::memory_order_release);
       count.store(base.size() - cursor + heap.size(),
@@ -286,9 +362,11 @@ class BasicConcurrentMultiQueue {
   /// bulk_inserts. The batch is sorted once and dealt *round-robin*
   /// (strided) over its target sub-queues starting at a random offset —
   /// each target receives the still-sorted subsequence c, c+chunks, ...,
-  /// takes its lock once, and merges it into the sorted base array. Pops
-  /// stay O(1) cursor advances and the per-key cost is one sort/merge
-  /// share instead of a lock + heap sift.
+  /// takes its lock once, and inserts it by SubQueue::insert_run: an
+  /// append to base when the share lands at or above base's tail (the
+  /// admission case), heap pushes with an amortized spill back into base
+  /// when it lands below (the re-insertion case). No insert pays O(live)
+  /// on its own, and pops stay mostly O(1) cursor advances.
   ///
   /// The strided deal (rather than contiguous slices) is load-bearing for
   /// relaxation quality: contiguous slices put each sub-queue's share ~one
@@ -333,27 +411,7 @@ class BasicConcurrentMultiQueue {
       auto& sq = *queues_[block_begin + (start + c) % q];
       sq.lock.lock();
       std::lock_guard<util::Spinlock> guard(sq.lock, std::adopt_lock);
-      // Long-lived queues accumulate a consumed prefix in base; drop it
-      // before growing so memory stays proportional to live elements.
-      if (sq.cursor > 0 && sq.cursor * 2 >= sq.base.size()) {
-        sq.base.erase(sq.base.begin(),
-                      sq.base.begin() + static_cast<std::ptrdiff_t>(sq.cursor));
-        sq.cursor = 0;
-        sq.compactions.fetch_add(1, std::memory_order_release);
-      }
-      const auto mid = static_cast<std::ptrdiff_t>(sq.base.size());
-      for (std::size_t i = c; i < sorted.size(); i += chunks)
-        sq.base.push_back(sorted[i]);
-      // The strided subsequence is already sorted. Admission streams labels
-      // in ascending order, so a batch usually lands entirely above the
-      // live tail — then the concatenation is already sorted and the
-      // O(live) merge can be skipped.
-      if (mid > static_cast<std::ptrdiff_t>(sq.cursor) &&
-          sq.base[static_cast<std::size_t>(mid)] < sq.base[static_cast<std::size_t>(mid) - 1]) {
-        std::inplace_merge(
-            sq.base.begin() + static_cast<std::ptrdiff_t>(sq.cursor),
-            sq.base.begin() + mid, sq.base.end());
-      }
+      sq.insert_run(sorted, c, chunks);
       sq.refresh_top();
     }
   }
@@ -369,7 +427,7 @@ class BasicConcurrentMultiQueue {
       auto& sq = *queues_[victim];
       if (!sq.lock.try_lock()) continue;  // pick a fresh victim instead
       std::lock_guard<util::Spinlock> guard(sq.lock, std::adopt_lock);
-      sq.heap.push(p);
+      sq.insert_run(std::span<const Key>(&p, 1), 0, 1);
       sq.refresh_top();
       return;
     }

@@ -44,6 +44,12 @@ class DaryHeap {
   void clear() noexcept { data_.clear(); }
   void reserve(std::size_t n) { data_.reserve(n); }
 
+  /// Hands over the backing array (in heap order, not sorted) and leaves
+  /// the heap empty: lets an owner move every element out in O(1).
+  [[nodiscard]] std::vector<T> release() noexcept {
+    return std::exchange(data_, {});
+  }
+
  private:
   void sift_up(std::size_t i) noexcept {
     while (i > 0) {

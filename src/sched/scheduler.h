@@ -88,9 +88,9 @@ std::size_t pop_batch(S& s, std::size_t k, std::vector<Key>& out) {
 /// of a pop-only special case. Prefers the target's native insert_batch
 /// (one coordination round trip — a sorted-run splice into one
 /// sub-structure, or one lock for a serialized adapter), then a live
-/// bulk_insert (the MultiQueue's chunked sorted merge), and degrades to
-/// per-key inserts elsewhere, so every backend accepts batched insertion
-/// with unchanged multiset semantics.
+/// bulk_insert (the MultiQueue's strided append-or-heap deal), and
+/// degrades to per-key inserts elsewhere, so every backend accepts batched
+/// insertion with unchanged multiset semantics.
 ///
 /// Relaxation cost: inserts carry no rank, so a batched insert never
 /// loosens a Definition 1 envelope by itself — it only concentrates the

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -171,6 +172,12 @@ void JobServer::handle_accept() {
       if (errno == EINTR) continue;
       return;  // transient accept failure; the listener stays armed
     }
+    // Responses are small frames written as soon as a job completes. With
+    // Nagle on, one written while the previous is still unacknowledged
+    // waits for the client's delayed ACK (milliseconds on Linux). Failing
+    // to turn it off only costs latency, so the result is ignored.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t id = next_conn_id_++;
     Connection conn;
     conn.fd = fd;

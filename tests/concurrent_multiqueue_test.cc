@@ -468,6 +468,73 @@ TEST(ConcurrentMultiQueue, AppendingRunsCostsAmortizedNotLiveSize) {
       << "runs " << runs << " s vs one call " << single << " s";
 }
 
+TEST(ConcurrentMultiQueue, BelowTailRunsCostAmortizedNotLiveSize) {
+  // Re-insertions (SSSP's relaxed distances) land below a sub-queue's
+  // tail. Merging each such run into the sorted base costs O(live) per
+  // call, hundreds of times the cost of the same runs above the tail at
+  // this size. Below-tail keys go to the heap and spill back into base
+  // only once per live/16 keys, so the two must cost about the same.
+  constexpr Priority kLive = 1'000'000;
+  constexpr std::uint32_t kRuns = 2000;
+  constexpr std::uint32_t kRunLength = 64;
+  std::vector<Priority> evens(kLive);
+  for (Priority p = 0; p < kLive; ++p) evens[p] = 2 * p;
+  // Distinct odd keys drawn uniformly below the tail, sorted per run.
+  std::vector<Priority> odds(kLive);
+  for (Priority p = 0; p < kLive; ++p) odds[p] = 2 * p + 1;
+  util::Rng rng(17);
+  util::shuffle(std::span<Priority>(odds), rng);
+  odds.resize(kRuns * kRunLength);
+  for (std::uint32_t r = 0; r < kRuns; ++r)
+    std::sort(odds.begin() + r * kRunLength,
+              odds.begin() + (r + 1) * kRunLength);
+  std::vector<Priority> above(kRuns * kRunLength);
+  for (std::uint32_t i = 0; i < above.size(); ++i) above[i] = 2 * kLive + i;
+
+  const auto timed = [&](ConcurrentMultiQueue& q,
+                         const std::vector<Priority>& runs) {
+    q.bulk_load(evens);
+    util::Timer timer;
+    for (std::uint32_t r = 0; r < kRuns; ++r)
+      q.bulk_insert(std::span<const Priority>(runs.data() + r * kRunLength,
+                                              kRunLength));
+    const double seconds = timer.seconds();
+    EXPECT_EQ(q.size(), kLive + runs.size());
+    return seconds;
+  };
+  double below = 1e9;
+  double tail = 1e9;
+  for (int trial = 0; trial < 5; ++trial) {
+    ConcurrentMultiQueue below_q(2, 7);
+    below = std::min(below, timed(below_q, odds));
+    ConcurrentMultiQueue tail_q(2, 7);
+    tail = std::min(tail, timed(tail_q, above));
+  }
+  EXPECT_LE(below, 10.0 * tail)
+      << "below-tail runs " << below << " s vs above-tail runs " << tail
+      << " s";
+
+  // Exactly once: the spills moved every key, and lost or doubled none.
+  ConcurrentMultiQueue q(2, 7);
+  timed(q, odds);
+  EXPECT_GT(q.spills(), 0u);
+  std::vector<char> seen(2 * kLive, 0);
+  std::vector<Priority> batch;
+  std::size_t popped = 0;
+  while (q.approx_get_min_batch(64, batch) > 0) {
+    for (const Priority p : batch) {
+      ASSERT_LT(p, 2 * kLive);
+      ASSERT_FALSE(seen[p]) << "key " << p << " popped twice";
+      seen[p] = 1;
+    }
+    popped += batch.size();
+    batch.clear();
+  }
+  EXPECT_EQ(popped, kLive + odds.size());
+  for (const Priority p : evens) ASSERT_TRUE(seen[p]) << "key " << p;
+  for (const Priority p : odds) ASSERT_TRUE(seen[p]) << "key " << p;
+}
+
 TEST(ConcurrentMultiQueue, SingleSubQueuePairPopsExactWithBulkLoad) {
   // With 2 sub-queues and two-choice sampling, every pop compares both
   // tops, so the global minimum is always returned: exact behaviour.

@@ -87,5 +87,16 @@ TEST(DaryHeap, ClearEmpties) {
   EXPECT_EQ(h.pop(), 5);
 }
 
+TEST(DaryHeap, ReleaseHandsOverEveryElementAndEmpties) {
+  DaryHeap<int, 8> h;
+  for (const int x : {5, 1, 9, 3, 7, 2, 8, 1}) h.push(x);
+  std::vector<int> out = h.release();
+  EXPECT_TRUE(h.empty());
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<int>{1, 1, 2, 3, 5, 7, 8, 9}));
+  h.push(4);
+  EXPECT_EQ(h.pop(), 4);
+}
+
 }  // namespace
 }  // namespace relax::sched

@@ -159,7 +159,8 @@ TEST(SchedConformance, BatchedDrainIsAPermutationOfInserts) {
 
 // Insert-side batching conformance: sched::insert_batch over every backend
 // — native sorted-run splices on the scalable structures (MultiQueue
-// chunked merge, lock-free list CAS-splice, SprayList one-descent run),
+// strided append-or-heap, lock-free list CAS-splice, SprayList one-descent
+// run),
 // one lock per batch on the locked adapters, per-key shim elsewhere — must
 // deliver exactly the inserted label multiset back out, whatever mix of
 // batch sizes built it.

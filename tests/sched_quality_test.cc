@@ -327,6 +327,58 @@ TEST(BackendQuality, MultiQueueFamilyInversionTailDecays) {
   }
 }
 
+// Dijkstra-shaped re-insertion: every pop "relaxes" a few neighbours whose
+// keys land a short way above the popped key, far below the tails of the
+// sub-queues' sorted base arrays. Those runs take the MultiQueue's heap
+// path and, in bulk, spill back into base. Moving keys between heap and
+// base keeps each sub-queue's order, so the rank envelope of multiqueue-c2
+// must hold exactly as it does for plain inserts.
+TEST(BackendQuality, BelowTailReinsertsWithSpillsStayWithinEnvelope) {
+  constexpr std::uint32_t kN = 1u << 16;
+  constexpr std::uint32_t kWindow = 1u << 14;  // neighbour key spread
+  constexpr std::uint32_t kFanout = 8;         // relaxations per pop
+  BackendParams params;
+  params.threads = 2;
+  params.queue_factor = 4;
+  params.capacity = kN;
+  const std::uint64_t bound =
+      expected_rank_bound(backend_or_throw("multiqueue-c2"), params);
+
+  ConcurrentMultiQueue queue(params.threads * params.queue_factor,
+                             /*seed=*/105);
+  RelaxationMonitor<SequentialView<ConcurrentMultiQueue>> mon(
+      SequentialView<ConcurrentMultiQueue>(queue), kN, 64);
+  // The "sources": every even key, admitted as one run.
+  std::vector<Priority> run;
+  for (Priority p = 0; p < kN; p += 2) run.push_back(p);
+  mon.insert_batch(run);
+  std::size_t inserted = run.size();
+  // The "tentative distances": odd keys, each inserted once, drawn just
+  // above the key whose pop relaxes them.
+  std::vector<char> issued(kN, 0);
+  util::Rng rng(31);
+  while (const auto p = mon.approx_get_min()) {
+    run.clear();
+    for (std::uint32_t i = 0; i < kFanout; ++i) {
+      const Priority o =
+          (*p + 1 + static_cast<Priority>(util::bounded(rng, kWindow))) | 1u;
+      if (o < kN && issued[o] == 0) {
+        issued[o] = 1;
+        run.push_back(o);
+      }
+    }
+    std::sort(run.begin(), run.end());
+    mon.insert_batch(run);
+    inserted += run.size();
+  }
+  EXPECT_GT(queue.spills(), 0u) << "the leg never reached the spill path";
+  const auto& ranks = mon.rank_histogram();
+  ASSERT_EQ(ranks.total(), inserted);  // counting: every key popped once
+  EXPECT_TRUE(queue.empty());
+  EXPECT_LE(ranks.mean(), 2.0 * static_cast<double>(bound));
+  EXPECT_LT(ranks.tail_fraction_at_least(8 * bound), 0.02);
+}
+
 // ---------------------------------------------------------------------------
 // Topology-striped sampling quality. The rank analysis behind Definition 1
 // is oblivious to WHICH sub-queues a sampler probes, so the StripeMap's

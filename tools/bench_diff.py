@@ -24,15 +24,26 @@ or sweep loop broke, so each one gets a ::warning — loud in the PR view,
 but never an exit-1 even under --fail, since axes also legitimately
 shrink.
 
+--min-batch-ratio=R adds a check that needs no baseline: within the
+current snapshot alone, every batch-k cell (pop_batch > 1, or adaptive)
+must reach at least R times the tasks_per_s of its batch-1 sibling (the
+same key with pop_batch=1, not adaptive). Batching exists to amortize
+per-touch cost, so a batch-k cell well below batch 1 means the batched
+path has a cliff, whatever the previous run measured. A batch-k cell with
+no batch-1 sibling is reported and skipped.
+
 Exit status: 0 when clean or when the baseline is missing/unreadable (first
 run on a branch must not fail CI); 1 when regressions were found AND --fail
-was given. Without --fail, regressions are emitted as GitHub Actions
-::warning annotations — shared CI runners are noisy enough that a hard gate
-on a single run would mostly catch scheduler jitter, so the default is a
-loud warning; flip on --fail for a quiet dedicated perf box.
+was given, and 1 whenever --min-batch-ratio found a cell below its ratio
+(the ratio check runs even without a usable baseline). Without --fail,
+regressions are emitted as GitHub Actions ::warning annotations — shared
+CI runners are noisy enough that a hard gate on a single run would mostly
+catch scheduler jitter, so the default is a loud warning; flip on --fail
+for a quiet dedicated perf box.
 
 Usage:
   tools/bench_diff.py BASELINE.json CURRENT.json [--max-drop=0.25] [--fail]
+      [--min-batch-ratio=R]
   tools/bench_diff.py --self-test
 
 --self-test runs an internal schema-compatibility check (no files needed):
@@ -41,9 +52,11 @@ now emits, e.g. slice_p99_us) must diff cleanly against a new-schema one —
 cell keys line up, unknown/null fields are ignored, and equal throughput
 yields zero regressions. It also checks that steady_state rows differing
 only in policy/distribution get distinct keys, and that baseline-only
-cells are classified as missing rather than folded into regressions. CI
-runs this so a schema change that would break the first diff against a
-pre-change baseline fails loudly in the PR that makes it.
+cells are classified as missing rather than folded into regressions, and
+that the batch-ratio check passes, fails and skips a cell with no batch-1
+sibling as documented. CI runs this so a schema change that would break
+the first diff against a pre-change baseline fails loudly in the PR that
+makes it.
 
 No dependencies beyond the Python 3 standard library.
 """
@@ -145,6 +158,49 @@ def diff_cells(baseline, current, max_drop):
         elif change > max_drop:
             improvements.append((key, old_tps, new_tps, change))
     return regressions, improvements
+
+
+def batch_ratios(current):
+    """Pairs each batch-k cell of one snapshot with its batch-1 sibling.
+    Returns (ratios, orphans): ratios lists (key, batch1_tps, tps, ratio)
+    sorted by key; orphans lists batch-k keys with no batch-1 sibling (or
+    one that measured nothing)."""
+    ratios = []
+    orphans = []
+    for key, row in sorted(current.items(), key=lambda kv: sort_key(kv[0])):
+        workload, backend, threads, batch, auto, policy, dist, numa = key
+        if batch == 1 and not auto:
+            continue
+        sibling = current.get(
+            (workload, backend, threads, 1, False, policy, dist, numa)
+        )
+        base_tps = (sibling.get("tasks_per_s") or 0.0) if sibling else 0.0
+        if base_tps <= 0.0:
+            orphans.append(key)
+            continue
+        tps = row.get("tasks_per_s") or 0.0
+        ratios.append((key, base_tps, tps, tps / base_tps))
+    return ratios, orphans
+
+
+def check_batch_ratios(current, min_ratio):
+    """Prints every batch-k/batch-1 ratio of the snapshot and an ::error::
+    line per cell below min_ratio. Returns True iff some cell is below."""
+    ratios, orphans = batch_ratios(current)
+    for key in orphans:
+        print(f"batch ratio: no batch-1 sibling for {fmt_key(key)}; skipped")
+    failed = False
+    for key, base_tps, tps, ratio in ratios:
+        if ratio < min_ratio:
+            failed = True
+            print(
+                f"::error::batch ratio below {min_ratio:.2f}: {fmt_key(key)}: "
+                f"{tps:.0f} tasks/s vs {base_tps:.0f} at batch 1 "
+                f"({ratio:.2f}x)"
+            )
+        else:
+            print(f"batch ratio: {fmt_key(key)}: {ratio:.2f}x of batch 1")
+    return failed
 
 
 def self_test():
@@ -269,6 +325,25 @@ def self_test():
             f"expected missing cells [{gone}], got {missing}"
         )
 
+    # Batch-ratio check on one snapshot: a batch-8 cell at 1.29x its
+    # batch-1 sibling passes, one at 0.17x fails, and a batch-8 cell with
+    # no batch-1 sibling is skipped, never failed.
+    b1 = dict(steady_cell, pop_batch=1, tasks_per_s=1000.0)
+    b8 = dict(steady_cell, pop_batch=8, tasks_per_s=1290.0)
+    ratios, orphans = batch_ratios(roundtrip([b1, b8]))
+    if orphans or [round(r[3], 2) for r in ratios] != [1.29]:
+        failures.append(f"batch ratio pass leg: {ratios} {orphans}")
+    slow = roundtrip([b1, dict(b8, tasks_per_s=170.0)])
+    ratios, _ = batch_ratios(slow)
+    if [r[3] < 0.8 for r in ratios] != [True]:
+        failures.append(f"batch ratio fail leg not caught: {ratios}")
+    orphan = dict(b8, policy="split")
+    ratios, orphans = batch_ratios(roundtrip([b1, b8, orphan]))
+    if len(ratios) != 1 or orphans != [cell_key(orphan)]:
+        failures.append(
+            f"batch ratio missing-sibling leg: {ratios} {orphans}"
+        )
+
     for failure in failures:
         print(f"::error::bench_diff self-test: {failure}")
     if not failures:
@@ -315,6 +390,13 @@ def main():
         "normalized — without it, two consecutive sub-threshold drops "
         "compound invisibly.",
     )
+    parser.add_argument(
+        "--min-batch-ratio",
+        type=float,
+        metavar="R",
+        help="exit 1 when any batch-k cell of CURRENT runs below R times "
+        "its batch-1 sibling's tasks_per_s (no baseline needed)",
+    )
     args = parser.parse_args()
 
     if args.self_test:
@@ -328,16 +410,22 @@ def main():
                 f.write("ok\n")
 
     try:
-        baseline = load_rows(args.baseline)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        print(f"no usable baseline ({e}); skipping bench diff")
-        emit_ok()  # nothing to regress against: seed the baseline
-        return 0
-    try:
         current = load_rows(args.current)
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"::error::cannot read current bench snapshot: {e}")
         return 1
+    ratio_failed = (
+        args.min_batch_ratio is not None
+        and check_batch_ratios(current, args.min_batch_ratio)
+    )
+    try:
+        baseline = load_rows(args.baseline)
+    except (OSError, ValueError, json.JSONDecodeError) as e:
+        print(f"no usable baseline ({e}); skipping bench diff")
+        if ratio_failed:
+            return 1
+        emit_ok()  # nothing to regress against: seed the baseline
+        return 0
 
     for key in sorted(current.keys() - baseline.keys(), key=sort_key):
         print(f"new cell (no baseline): {fmt_key(key)}")
@@ -361,9 +449,9 @@ def main():
         f"{len(regressions)} regression(s) beyond {args.max_drop:.0%}, "
         f"{len(improvements)} improvement(s), {len(missing)} missing cell(s)"
     )
-    if not regressions:
+    if not regressions and not ratio_failed:
         emit_ok()
-    return 1 if regressions and args.fail else 0
+    return 1 if (regressions and args.fail) or ratio_failed else 0
 
 
 if __name__ == "__main__":

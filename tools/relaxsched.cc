@@ -20,6 +20,7 @@
 //   seq          sequential baseline only
 //   seq-relaxed  sequential framework with a simulated relaxed scheduler
 //                (--sched=multiqueue|spray|topk|kbounded, --k=<relaxation>)
+//   --algo=sssp takes parallel or seq (Dijkstra) only.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +67,8 @@ using relax::graph::Graph;
   --graph=gnm|gnp|rmat|ba|grid|clique|star|file            [gnm]
   --n=<vertices> --m=<edges> --p=<prob> --path=<edge list file>
   --mode=parallel|exact|seq|seq-relaxed                    [parallel]
+                           (--algo=sssp: parallel, or seq to time
+                           Dijkstra alone; exact and seq-relaxed exit 2)
   --threads=<t>            worker threads (parallel modes)  [hw]
   --backend=<name>         concurrent scheduler backend for --mode=parallel
                            (any registry name; see list below)
@@ -383,6 +386,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const std::string mode = cli.get_string("mode", "parallel");
+  if (algo == "sssp" && mode != "parallel" && mode != "seq")
+    usage_and_exit("--algo=sssp supports --mode=parallel|seq only");
   const Graph g = make_graph(cli);
   std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
@@ -390,6 +396,15 @@ int main(int argc, char** argv) {
   if (algo == "sssp") {
     const auto weights =
         relax::algorithms::synthetic_edge_weights(g, seed + 3);
+    if (mode == "seq") {
+      warn_telemetry_unsupported("seq");
+      warn_numa_unsupported(cli, "seq");
+      relax::util::Timer timer;
+      const auto dist = relax::algorithms::dijkstra(g, weights, 0);
+      std::printf("sequential: %.4f s\n", timer.seconds());
+      (void)dist;
+      return 0;
+    }
     relax::algorithms::SsspStats stats;
     // One parsing path for --pop-batch, --numa and the telemetry sinks
     // (parallel_opts): SSSP runs as an engine job like the other parallel
