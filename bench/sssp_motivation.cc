@@ -17,7 +17,7 @@
 // affects the output here (monotone convergence), only the work.
 //
 // Usage: sssp_motivation [--n=2000000] [--m=20000000] [--trials=3]
-//                        [--threads=1,2,4,8,16,24] [--seed=1]
+//                        [--threads=1,2,4,8,16,24] [--seed=1] [--help]
 #include <cstdio>
 #include <vector>
 
@@ -27,8 +27,32 @@
 #include "util/thread_pin.h"
 #include "util/timer.h"
 
+namespace {
+
+void print_usage() {
+  std::fprintf(
+      stderr,
+      "sssp_motivation — relaxed concurrent SSSP vs sequential Dijkstra\n"
+      "\n"
+      "  --n=<vertices>           G(n, m) vertex count (default 2000000)\n"
+      "  --m=<edges>              G(n, m) edge count (default 20000000)\n"
+      "  --trials=<t>             runs per cell, best reported (default 3)\n"
+      "  --threads=<list>         thread counts for table (a)\n"
+      "                           (default 1,2,4,8,16 plus the hardware\n"
+      "                           thread count when larger)\n"
+      "  --seed=<s>               graph, weight and scheduler seed\n"
+      "                           (default 1)\n"
+      "  --help                   this text\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const relax::util::CommandLine cli(argc, argv);
+  if (cli.has("help")) {
+    print_usage();
+    return 0;
+  }
   const auto n = static_cast<std::uint32_t>(cli.get_int("n", 2000000));
   const auto m = static_cast<std::uint64_t>(cli.get_int("m", 20000000));
   const int trials = static_cast<int>(cli.get_int("trials", 3));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sched/dary_heap.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 
 namespace relax::algorithms {
@@ -69,7 +70,11 @@ std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
                                                   std::uint64_t seed,
                                                   std::uint32_t max_w) {
   std::vector<std::uint32_t> weights(g.num_arcs());
-  for (graph::Vertex u = 0; u < g.num_vertices(); ++u) {
+  // Each arc's weight depends only on its endpoints, so vertices split
+  // across workers (0 = hardware threads, as in Graph::from_edges) give the
+  // same array as a serial pass.
+  util::parallel_for(0, g.num_vertices(), 0, [&](std::uint64_t i) {
+    const auto u = static_cast<graph::Vertex>(i);
     const auto offset = g.arc_offset(u);
     const auto nb = g.neighbors(u);
     for (std::size_t j = 0; j < nb.size(); ++j) {
@@ -80,7 +85,7 @@ std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
                          (b * 0xc2b2ae3d27d4eb4fULL));
       weights[offset + j] = static_cast<std::uint32_t>(h() % max_w) + 1;
     }
-  }
+  });
   return weights;
 }
 

@@ -27,6 +27,9 @@ inline constexpr std::uint32_t kUnreachable = ~0u;
 
 /// Per-arc weights aligned with the CSR arc array; symmetric (both
 /// directions of an undirected edge carry the same weight in [1, max_w]).
+/// Each weight is a hash of (seed, min endpoint, max endpoint), computed in
+/// parallel over the hardware threads; the array does not depend on the
+/// thread count.
 std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
                                                   std::uint64_t seed,
                                                   std::uint32_t max_w = 100);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace relax::graph {
 namespace {
@@ -91,19 +95,70 @@ TEST(Graph, ArcTargetsMatchNeighbors) {
   }
 }
 
-TEST(Graph, ParallelConstructionMatchesSequential) {
+/// gnm-shaped edge list on n vertices with `m` uniform pairs (self-loops
+/// allowed), then every 7th edge repeated reversed and every 11th vertex
+/// given a self-loop, so the dedup and self-loop paths both run.
+std::vector<Edge> noisy_edges(Vertex n, std::uint64_t m, std::uint64_t seed) {
+  util::Rng rng(seed);
   std::vector<Edge> edges;
+  for (std::uint64_t i = 0; i < m; ++i)
+    edges.emplace_back(static_cast<Vertex>(util::bounded(rng, n)),
+                       static_cast<Vertex>(util::bounded(rng, n)));
+  for (std::uint64_t i = 0; i < m; i += 7)
+    edges.emplace_back(edges[i].second, edges[i].first);
+  for (Vertex v = 0; v < n; v += 11) edges.emplace_back(v, v);
+  return edges;
+}
+
+TEST(Graph, ParallelConstructionMatchesSequential) {
+  // Every input is above parallel_chunks' 4096-element serial cutoff, and
+  // none is a multiple of the 64-edge scatter block, so the last block of
+  // every worker's chunk is partial.
+  std::vector<std::pair<Vertex, std::vector<Edge>>> inputs;
+  std::vector<Edge> band;
   for (Vertex u = 0; u < 500; ++u)
     for (Vertex v = u + 1; v < u + 20 && v < 500; ++v)
-      edges.emplace_back(u, v);
-  const Graph seq = Graph::from_edges(500, edges, 1);
-  const Graph par = Graph::from_edges(500, edges, 8);
-  ASSERT_EQ(seq.num_edges(), par.num_edges());
-  for (Vertex v = 0; v < 500; ++v) {
-    const auto a = seq.neighbors(v);
-    const auto b = par.neighbors(v);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+      band.emplace_back(u, v);
+  inputs.emplace_back(500, band);
+  inputs.emplace_back(3000, noisy_edges(3000, 20011, 1));
+  inputs.emplace_back(500, noisy_edges(500, 9001, 2));
+  inputs.emplace_back(40000, noisy_edges(40000, 70003, 3));
+
+  for (const auto& [n, edges] : inputs) {
+    ASSERT_GT(edges.size(), 4096u);
+    ASSERT_NE(edges.size() % 64, 0u);
+    const Graph ref = Graph::from_edges(n, edges, 1);
+
+    // The threads=1 CSR itself: each list sorted, deduplicated, loop-free,
+    // and exactly the arcs the edge list names.
+    std::vector<std::vector<Vertex>> expect(n);
+    for (const auto& [u, v] : edges) {
+      if (u == v) continue;
+      expect[u].push_back(v);
+      expect[v].push_back(u);
+    }
+    for (Vertex v = 0; v < n; ++v) {
+      std::sort(expect[v].begin(), expect[v].end());
+      expect[v].erase(std::unique(expect[v].begin(), expect[v].end()),
+                      expect[v].end());
+      const auto nb = ref.neighbors(v);
+      ASSERT_TRUE(std::equal(nb.begin(), nb.end(), expect[v].begin(),
+                             expect[v].end()))
+          << "n " << n << " vertex " << v;
+    }
+
+    // Every thread count gives the same offsets and arc array, bit for bit.
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      const Graph g = Graph::from_edges(n, edges, threads);
+      ASSERT_EQ(g.num_vertices(), ref.num_vertices());
+      ASSERT_EQ(g.num_arcs(), ref.num_arcs()) << "threads " << threads;
+      for (Vertex v = 0; v <= n; ++v)
+        ASSERT_EQ(g.arc_offset(v), ref.arc_offset(v))
+            << "n " << n << " threads " << threads << " vertex " << v;
+      for (EdgeId a = 0; a < ref.num_arcs(); ++a)
+        ASSERT_EQ(g.arc_target(a), ref.arc_target(a))
+            << "n " << n << " threads " << threads << " arc " << a;
+    }
   }
 }
 

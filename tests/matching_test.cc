@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algorithms/mis.h"
 #include "core/sequential_executor.h"
 #include "graph/generators.h"
@@ -21,6 +23,24 @@ TEST(EdgeIncidence, IndexesBothEndpoints) {
   EXPECT_EQ(inc.incident(1).size(), 2u);
   EXPECT_EQ(inc.incident(2).size(), 2u);
   EXPECT_EQ(inc.incident(3).size(), 1u);
+}
+
+TEST(EdgeIncidence, IncidentListsAlignWithNeighbors) {
+  // incident(v)[k] is the edge joining v and g.neighbors(v)[k], so the
+  // other endpoint of an incident edge can be read from the adjacency.
+  const Graph g = graph::gnm(3000, 15000, 21);
+  const EdgeIncidence inc(g);
+  ASSERT_EQ(inc.num_edges(), g.num_edges());
+  for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto nb = g.neighbors(v);
+    const auto ids = inc.incident(v);
+    ASSERT_EQ(ids.size(), nb.size()) << "vertex " << v;
+    for (std::size_t k = 0; k < nb.size(); ++k) {
+      const auto [a, b] = inc.edges()[ids[k]];
+      EXPECT_EQ(a, std::min(v, nb[k])) << "vertex " << v << " slot " << k;
+      EXPECT_EQ(b, std::max(v, nb[k])) << "vertex " << v << " slot " << k;
+    }
+  }
 }
 
 TEST(SequentialMatching, PathGreedy) {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/generators.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace relax::algorithms {
 namespace {
@@ -40,6 +42,31 @@ TEST(SyntheticWeights, SymmetricAndInRange) {
           EXPECT_EQ(w[g.arc_offset(v) + i], weight);
         }
       }
+    }
+  }
+}
+
+TEST(SyntheticWeights, ParallelPassEqualsSerialPerArcHash) {
+  // Enough vertices for the weight pass to split across workers.
+  const Graph g = graph::gnm(30000, 120000, 5);
+  ASSERT_GT(g.num_vertices(), 4096u);
+  constexpr std::uint64_t kSeed = 9;
+  constexpr std::uint32_t kMaxW = 1000;
+  const auto w = synthetic_edge_weights(g, kSeed, kMaxW);
+  ASSERT_EQ(w.size(), g.num_arcs());
+  for (graph::Vertex u = 0; u < g.num_vertices(); ++u) {
+    const auto nb = g.neighbors(u);
+    for (std::size_t j = 0; j < nb.size(); ++j) {
+      const graph::Vertex v = nb[j];
+      const std::uint64_t a = std::min(u, v), b = std::max(u, v);
+      util::SplitMix64 h(kSeed ^ (a * 0x9e3779b97f4a7c15ULL) ^
+                         (b * 0xc2b2ae3d27d4eb4fULL));
+      const auto expect = static_cast<std::uint32_t>(h() % kMaxW) + 1;
+      ASSERT_EQ(w[g.arc_offset(u) + j], expect) << u << "->" << v;
+      const auto back = g.neighbors(v);
+      const auto i = std::lower_bound(back.begin(), back.end(), u) -
+                     back.begin();
+      ASSERT_EQ(w[g.arc_offset(v) + i], expect) << v << "->" << u;
     }
   }
 }

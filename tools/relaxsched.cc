@@ -20,7 +20,9 @@
 //   seq          sequential baseline only
 //   seq-relaxed  sequential framework with a simulated relaxed scheduler
 //                (--sched=multiqueue|spray|topk|kbounded, --k=<relaxation>)
-//   --algo=sssp takes parallel or seq (Dijkstra) only.
+//   --algo=sssp|shuffle|listcontract take parallel or seq (Dijkstra,
+//   sequential_knuth_shuffle, sequential_list_contraction) only; any other
+//   mode exits 2 before the input is built.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -67,8 +69,9 @@ using relax::graph::Graph;
   --graph=gnm|gnp|rmat|ba|grid|clique|star|file            [gnm]
   --n=<vertices> --m=<edges> --p=<prob> --path=<edge list file>
   --mode=parallel|exact|seq|seq-relaxed                    [parallel]
-                           (--algo=sssp: parallel, or seq to time
-                           Dijkstra alone; exact and seq-relaxed exit 2)
+                           (--algo=sssp|shuffle|listcontract: parallel,
+                           or seq to time the sequential baseline alone;
+                           exact and seq-relaxed exit 2)
   --threads=<t>            worker threads (parallel modes)  [hw]
   --backend=<name>         concurrent scheduler backend for --mode=parallel
                            (any registry name; see list below)
@@ -273,6 +276,18 @@ ExecutionStats run_seq_relaxed(Problem& problem,
   usage_and_exit("unknown --sched");
 }
 
+/// --mode=seq: times the sequential baseline alone.
+template <typename Baseline>
+int run_sequential(const relax::util::CommandLine& cli, Baseline baseline) {
+  warn_telemetry_unsupported("seq");
+  warn_numa_unsupported(cli, "seq");
+  relax::util::Timer timer;
+  const auto result = baseline();
+  std::printf("sequential: %.4f s\n", timer.seconds());
+  (void)result;
+  return 0;
+}
+
 /// Dispatches one graph problem family through the chosen mode. Baseline
 /// and Problem factories keep the mode plumbing in one place.
 template <typename MakeSeq, typename MakeProblem, typename MakeAtomic,
@@ -283,15 +298,7 @@ int run_graph_problem(const relax::util::CommandLine& cli,
                       Extract extract, ExtractAtomic extract_atomic) {
   const std::string mode = cli.get_string("mode", "parallel");
   const bool verify = cli.get_bool("verify", true);
-  if (mode == "seq") {
-    warn_telemetry_unsupported("seq");
-    warn_numa_unsupported(cli, "seq");
-    relax::util::Timer timer;
-    const auto result = make_seq();
-    std::printf("sequential: %.4f s\n", timer.seconds());
-    (void)result;
-    return 0;
-  }
+  if (mode == "seq") return run_sequential(cli, make_seq);
   if (mode == "seq-relaxed") {
     warn_telemetry_unsupported("seq-relaxed");
     warn_numa_unsupported(cli, "seq-relaxed");
@@ -339,17 +346,27 @@ int main(int argc, char** argv) {
   const std::string algo = cli.get_string("algo", "");
   if (algo.empty()) usage_and_exit("--algo is required");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const std::string mode = cli.get_string("mode", "parallel");
+  // These three have a relaxed engine job and a sequential baseline only:
+  // no exact executor, no simulated-scheduler framework run.
+  if ((algo == "shuffle" || algo == "listcontract" || algo == "sssp") &&
+      mode != "parallel" && mode != "seq")
+    usage_and_exit(
+        ("--algo=" + algo + " supports --mode=parallel|seq only").c_str());
 
   if (algo == "shuffle") {
     const auto n = static_cast<std::uint32_t>(cli.get_int("n", 100000));
     const auto targets = relax::algorithms::shuffle_targets(n, seed);
     const auto pri = relax::graph::random_priorities(n, seed + 7);
+    if (mode == "seq") {
+      return run_sequential(cli, [&] {
+        return relax::algorithms::sequential_knuth_shuffle(targets, pri);
+      });
+    }
     const relax::algorithms::PositionIndex index(targets, pri);
     relax::algorithms::AtomicKnuthShuffleProblem problem(targets, index);
-    relax::core::ParallelOptions opts = parallel_opts(cli);
-    opts.seed = seed;
     const auto stats = relax::core::run_parallel_relaxed_backend(
-        problem, pri, backend_from_cli(cli).name, opts);
+        problem, pri, backend_from_cli(cli).name, parallel_opts(cli));
     print_stats("shuffle", stats);
     dump_telemetry();
     if (cli.get_bool("verify", true)) {
@@ -367,12 +384,16 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> arrangement(n);
     std::iota(arrangement.begin(), arrangement.end(), 0u);
     const auto pri = relax::graph::random_priorities(n, seed + 7);
+    if (mode == "seq") {
+      return run_sequential(cli, [&] {
+        return relax::algorithms::sequential_list_contraction(arrangement,
+                                                              pri);
+      });
+    }
     relax::algorithms::AtomicListContractionProblem problem(arrangement,
                                                             pri);
-    relax::core::ParallelOptions opts = parallel_opts(cli);
-    opts.seed = seed;
     const auto stats = relax::core::run_parallel_relaxed_backend(
-        problem, pri, backend_from_cli(cli).name, opts);
+        problem, pri, backend_from_cli(cli).name, parallel_opts(cli));
     print_stats("listcontract", stats);
     dump_telemetry();
     if (cli.get_bool("verify", true)) {
@@ -386,9 +407,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string mode = cli.get_string("mode", "parallel");
-  if (algo == "sssp" && mode != "parallel" && mode != "seq")
-    usage_and_exit("--algo=sssp supports --mode=parallel|seq only");
   const Graph g = make_graph(cli);
   std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
@@ -397,13 +415,8 @@ int main(int argc, char** argv) {
     const auto weights =
         relax::algorithms::synthetic_edge_weights(g, seed + 3);
     if (mode == "seq") {
-      warn_telemetry_unsupported("seq");
-      warn_numa_unsupported(cli, "seq");
-      relax::util::Timer timer;
-      const auto dist = relax::algorithms::dijkstra(g, weights, 0);
-      std::printf("sequential: %.4f s\n", timer.seconds());
-      (void)dist;
-      return 0;
+      return run_sequential(
+          cli, [&] { return relax::algorithms::dijkstra(g, weights, 0); });
     }
     relax::algorithms::SsspStats stats;
     // One parsing path for --pop-batch, --numa and the telemetry sinks
